@@ -26,7 +26,8 @@ from .betti import (
 from .construction import construct_extremal_ideal
 from .errors import BudgetExceededError, TSpreadError
 from .ideals import SpreadIdeal, borel_ideal
-from .monomials import Context, format_monomial, parse_monomial, spread_monomials
+from .monomials import (Context, format_monomial, parse_monomial, spread_count,
+                        spread_monomials)
 from .oracle import (
     SearchBudget,
     cross_validate,
@@ -85,13 +86,12 @@ def _load_ideal(args) -> SpreadIdeal:
 
 def cmd_enumerate(args) -> int:
     ctx = Context(args.n, args.t)
-    mons = spread_monomials(ctx, args.d)
     if args.count:
-        print(len(mons))
+        print(spread_count(ctx.n_vars, args.d, ctx.spread_t))
     elif args.format == "json":
-        print(json.dumps([list(u) for u in mons]))
+        print(json.dumps([list(u) for u in spread_monomials(ctx, args.d)]))
     else:
-        for u in mons:
+        for u in spread_monomials(ctx, args.d):
             print(format_monomial(u))
     return EXIT_OK
 

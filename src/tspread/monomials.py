@@ -4,8 +4,8 @@ A monomial x_{i_1} x_{i_2} ... x_{i_d} is stored as its strictly increasing
 index tuple ``(i_1, ..., i_d)``; the empty tuple is the monomial 1.  A
 monomial is t-spread when consecutive indices differ by at least t, so for
 t >= 1 every t-spread monomial is squarefree and the tuple representation is
-lossless.  (Monomials with repeated variables, which only occur for t = 0,
-are out of scope and rejected on input.)
+lossless.  Monomials with repeated variables, which only occur for t = 0,
+are out of scope: :class:`Context` rejects t < 1.
 
 Within a fixed degree, monomials are compared in the squarefree
 lexicographic order (slex): u > v iff at the first differing position u has
@@ -33,8 +33,8 @@ class Context:
     def __post_init__(self):
         if self.n_vars < 1:
             raise InvalidMonomialError(f"n_vars must be >= 1, got {self.n_vars}")
-        if self.spread_t < 0:
-            raise InvalidMonomialError(f"spread_t must be >= 0, got {self.spread_t}")
+        if self.spread_t < 1:
+            raise InvalidMonomialError(f"spread_t must be >= 1, got {self.spread_t}")
 
 
 def validate_monomial(u: Monomial, ctx: Context) -> None:
@@ -78,8 +78,10 @@ def spread_count(n: int, d: int, t: int) -> int:
     """|M_{n,d,t}|, the number of t-spread monomials of degree d in n variables.
 
     Equals binom(n - (d-1)(t-1), d), with binom(a, b) = 0 whenever a < b
-    (including a < 0).
+    (including a < 0).  A negative degree raises InvalidMonomialError.
     """
+    if d < 0:
+        raise InvalidMonomialError(f"degree must be >= 0, got {d}")
     top = n - (d - 1) * (t - 1)
     return comb(top, d) if top >= 0 else 0
 
@@ -94,7 +96,6 @@ def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
     n, t = ctx.n_vars, ctx.spread_t
     if d < 0:
         raise InvalidMonomialError(f"degree must be >= 0, got {d}")
-    step = max(t, 1)  # repeated indices are unrepresentable, so t=0 acts as t=1
     out: list[Monomial] = []
     prefix: list[int] = []
 
@@ -102,9 +103,9 @@ def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
         if rem == 0:
             out.append(tuple(prefix))
             return
-        for i in range(lo, n - step * (rem - 1) + 1):
+        for i in range(lo, n - t * (rem - 1) + 1):
             prefix.append(i)
-            rec(i + step, rem - 1)
+            rec(i + t, rem - 1)
             prefix.pop()
 
     rec(1, d)

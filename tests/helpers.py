@@ -1,10 +1,11 @@
 """Shared test oracles and golden data.
 
 Everything here is deliberately independent of the library's fast paths:
-subset filters, componentwise-domination closures, and hand-transcribed
-golden values.
+subset filters, componentwise-domination closures, the basis-walk stability
+test, and hand-transcribed golden values.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from tspread import Context, borel_closure_degree, spread_monomials
@@ -68,6 +69,44 @@ def brute_force_spread(n, d, t):
     """All t-spread degree-d monomials by filtering raw d-subsets of {1..n}."""
     return [u for u in combinations(range(1, n + 1), d)
             if all(b - a >= t for a, b in zip(u, u[1:]))]
+
+
+@lru_cache(maxsize=None)
+def _spread_basis(n, d, t):
+    return tuple(brute_force_spread(n, d, t))
+
+
+def find_stability_violation(ideal):
+    """Exhaustive strong-stability test over the monomial basis of the ideal.
+
+    The definition-level oracle for the library's generator gate.  Walks
+    every t-spread monomial of each degree from indeg to the maximal
+    generator degree plus one, keeps those lying in the ideal, and tries
+    every move x_i * (u / x_j), i < j, that stays t-spread.  Returns None if
+    stable, else the first witness ``(u, j, i, result)``.  Desk scale only.
+    """
+    if ideal.is_zero:
+        return None
+    n, t = ideal.ctx.n_vars, ideal.ctx.spread_t
+    gens = [frozenset(g) for g in ideal.all_generators()]
+
+    def member(support):
+        return any(g <= support for g in gens)
+
+    for d in range(ideal.indeg(), ideal.max_gen_degree() + 2):
+        for u in _spread_basis(n, d, t):
+            sup = set(u)
+            if not member(sup):
+                continue
+            for j in u:
+                for i in range(1, j):
+                    if i in sup:
+                        continue
+                    moved = tuple(sorted(sup - {j} | {i}))
+                    if (all(b - a >= t for a, b in zip(moved, moved[1:]))
+                            and not member(set(moved))):
+                        return u, j, i, moved
+    return None
 
 
 def domination_closure(u, ctx):

@@ -136,6 +136,12 @@ class TestCornersViaCharacterization:
         with pytest.raises(NotStronglyStableError):
             corners_via_characterization(I)
 
+    def test_cross_method_at_scale(self):
+        # B_2(x3*x7*x11*x15*x20): 1,701 generators through the stability gate
+        I = borel_ideal([(3, 7, 11, 15, 20)], Context(20, 2))
+        assert len(I.all_generators()) == 1701
+        assert corners_via_characterization(I) == corners_from_table(graded_betti(I))
+
 
 class TestRegularityProjDim:
     def test_golden(self, golden_ideal):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import tspread.cli
 from tspread.cli import main
 
 GOLDEN_DIAGRAM = "\n".join([
@@ -27,6 +28,20 @@ class TestEnumerate:
         code, out, _ = run_cli(["enumerate", "-n", "9", "-t", "2", "-d", "4",
                                 "--count"], capsys)
         assert code == 0 and out == "15\n"
+
+    def test_count_is_closed_form(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("--count must not enumerate")
+        monkeypatch.setattr(tspread.cli, "spread_monomials", refuse)
+        code, out, _ = run_cli(["enumerate", "-n", "60", "-t", "1", "-d", "30",
+                                "--count"], capsys)
+        assert code == 0 and out == "118264581564861424\n"
+
+    def test_negative_degree_exits_3(self, capsys):
+        for extra in ([], ["--count"]):
+            code, _, err = run_cli(["enumerate", "-n", "9", "-t", "2", "-d", "-1"]
+                                   + extra, capsys)
+            assert code == 3 and "degree" in err
 
     def test_listing(self, capsys):
         code, out, _ = run_cli(["enumerate", "-n", "4", "-t", "3", "-d", "2"],
@@ -92,6 +107,11 @@ class TestBetti:
                                capsys)
         assert code == 3
         assert "x1*x5" in err  # the violating move is named
+
+    def test_zero_spread_exits_3(self, capsys):
+        code, out, err = run_cli(["betti", "--gens", "x1*x2", "-n", "2", "-t", "0"],
+                                 capsys)
+        assert code == 3 and out == "" and "spread_t" in err
 
     def test_non_spread_input_exits_3(self, capsys):
         code, _, err = run_cli(["betti", "--gens", "x1*x2", "-n", "9", "-t", "2"],

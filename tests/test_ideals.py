@@ -13,16 +13,19 @@ from tspread import (
     SpreadIdeal,
     borel_closure_degree,
     borel_ideal,
+    enumerate_strongly_stable_ideals,
     format_monomial,
     is_strongly_stable,
+    is_t_spread,
     iterated_shadow,
     shadow,
     spread_monomials,
 )
-from tspread.ideals import find_stability_violation, generator_move_violation
+from tspread.ideals import generator_move_violation
+from tspread.oracle import max_spread_degree
 
 
-from helpers import domination_closure
+from helpers import domination_closure, find_stability_violation
 
 
 def spread_contexts(max_n=9, max_t=3):
@@ -184,10 +187,47 @@ class TestStrongStability:
         mons = spread_monomials(ctx, 2) + spread_monomials(ctx, 3)
         for r in range(1, 3):
             for gens in combinations(mons, r):
-                I = SpreadIdeal.from_generators(ctx, gens)
-                assert (generator_move_violation(I) is None) == (
-                    find_stability_violation(I) is None
-                )
+                assert_gate_matches_basis_walk(SpreadIdeal.from_generators(ctx, gens))
+
+    def test_gate_agrees_with_basis_walk_on_enumerated_ideals(self):
+        # every enumerated ideal is stable; dropping one of its generators
+        # leaves a minimal generating set that is often not (done up to
+        # cut_n, which keeps the basis walks short)
+        verdicts = {True: 0, False: 0}
+        for t, max_n, cut_n in ((1, 6, 5), (2, 8, 7), (3, 10, 9)):
+            for n in range(t + 1, max_n + 1):
+                ctx = Context(n, t)
+                for ell1 in range(1, max_spread_degree(n, t) + 1):
+                    for ideal in enumerate_strongly_stable_ideals(ctx, ell1):
+                        assert assert_gate_matches_basis_walk(ideal)
+                        if n > cut_n:
+                            continue
+                        gens = ideal.all_generators()
+                        for k in range(len(gens)):
+                            cut = SpreadIdeal.from_generators(
+                                ctx, gens[:k] + gens[k + 1:])
+                            verdicts[assert_gate_matches_basis_walk(cut)] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_witness_is_first_unit_decrement(self):
+        I = SpreadIdeal.from_generators(Context(9, 2), [(2, 5)])
+        assert generator_move_violation(I) == ((2, 5), 2, 1, (1, 5))
+
+
+def assert_gate_matches_basis_walk(ideal) -> bool:
+    """The gate and the basis walk agree; a gate witness is a t-spread unit
+    decrement of a minimal generator that lies outside the ideal.  Returns
+    the verdict (True for stable)."""
+    witness = generator_move_violation(ideal)
+    assert (witness is None) == (find_stability_violation(ideal) is None)
+    if witness is not None:
+        u, j, i, moved = witness
+        assert u in ideal.all_generators()
+        assert j in u and i == j - 1 and i not in u
+        assert moved == tuple(sorted(set(u) - {j} | {i}))
+        assert is_t_spread(moved, ideal.ctx)
+        assert not ideal.contains(moved)
+    return witness is None
 
 
 class TestContains:
@@ -254,3 +294,10 @@ def test_borel_ideal_properties(case):
         assert I.contains(u)
     for v in all_gens:
         assert any(v <= u for u in gens if len(u) == len(v))  # slex >= some input
+
+
+@given(spread_monomial_lists())
+@settings(max_examples=300, deadline=None)
+def test_gate_agrees_with_basis_walk_on_random_generators(case):
+    ctx, gens = case
+    assert_gate_matches_basis_walk(SpreadIdeal.from_generators(ctx, gens))

@@ -26,6 +26,14 @@ from tspread import (
 from helpers import brute_force_spread
 
 
+class TestContext:
+    def test_rejects_spread_below_one(self):
+        # t = 0 would need repeated variables, which index tuples cannot hold
+        for t in (0, -1):
+            with pytest.raises(InvalidMonomialError):
+                Context(2, t)
+
+
 class TestIsTSpread:
     def test_gap_two_is_2_spread(self):
         assert is_t_spread((1, 3, 6), Context(6, 2))
@@ -34,7 +42,7 @@ class TestIsTSpread:
         assert not is_t_spread((1, 3, 6), Context(6, 3))
 
     def test_unit_monomial_always_spread(self):
-        for t in range(0, 5):
+        for t in range(1, 5):
             assert is_t_spread((), Context(4, t))
 
     def test_degree_one_vacuous(self):
@@ -48,7 +56,7 @@ class TestIsTSpread:
 
     def test_non_increasing_rejected(self):
         with pytest.raises(InvalidMonomialError):
-            is_t_spread((3, 3), Context(6, 0))
+            is_t_spread((3, 3), Context(6, 1))
 
 
 class TestSlexOrder:
@@ -92,6 +100,12 @@ class TestEnumeration:
     def test_size_9_4_2(self):
         assert len(spread_monomials(Context(9, 2), 4)) == 15
         assert spread_count(9, 4, 2) == comb(6, 4)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(InvalidMonomialError):
+            spread_count(9, -1, 2)
+        with pytest.raises(InvalidMonomialError):
+            spread_monomials(Context(9, 2), -1)
 
     def test_empty_when_n_too_small(self):
         # n = d + 3t with 3 <= d <= t leaves no room in degree 5
@@ -164,7 +178,7 @@ class TestTextSyntax:
             parse_monomial(bad)
 
 
-@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 5))
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_enumeration_is_strictly_descending(n, d, t):
     mons = spread_monomials(Context(n, t), d)
