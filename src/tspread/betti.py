@@ -19,6 +19,7 @@ entries, listed with k strictly decreasing, form the corner sequence.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -102,10 +103,20 @@ def graded_betti(ideal: SpreadIdeal) -> BettiTable:
     t = ideal.ctx.spread_t
     entries: dict[tuple[int, int], int] = {}
     for l, gens in ideal.gens.items():
-        for u in gens:
-            m = max_index(u) - t * (l - 1) - 1
-            for k in range(m + 1):
-                entries[(k, l)] = entries.get((k, l), 0) + comb(m, k)
+        # sum over m = a..b of binom(m, k) is binom(b+1, k+1) - binom(a, k+1):
+        # one term per run of consecutive m with equal multiplicity, not one
+        # per generator
+        ms = Counter(max_index(u) - t * (l - 1) - 1 for u in gens)
+        runs: list[list[int]] = []  # [a, b, multiplicity]
+        for m in sorted(ms):
+            if runs and runs[-1][1] == m - 1 and runs[-1][2] == ms[m]:
+                runs[-1][1] = m
+            else:
+                runs.append([m, m, ms[m]])
+        for a, b, mult in runs:
+            for k in range(b + 1):
+                beta = mult * (comb(b + 1, k + 1) - comb(a, k + 1))
+                entries[(k, l)] = entries.get((k, l), 0) + beta
     return BettiTable(entries)
 
 

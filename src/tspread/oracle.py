@@ -7,11 +7,14 @@ slice below.  Conversely any such chain of down-sets (for the move order)
 with the shadow-containment property determines exactly one ideal, whose
 minimal generators in degree l are the chosen down-set minus the shadow.
 
-The enumeration here walks those chains degree by degree, with each
-Borel-closed set held as a bitmask over the slex-sorted monomial list of its
-degree.  It is independent of every closed formula in
-:mod:`tspread.construction`, which is the point: the two routes are compared
-cell by cell in :func:`cross_validate`.
+Each Borel-closed set is held as a bitmask over the slex-sorted monomial
+list of its degree, and one depth-first pass, :func:`_down_sets`, lists them.
+:func:`enumerate_strongly_stable_ideals` walks the chains one ideal at a
+time; :func:`brute_force_max_corners` runs a dynamic program over
+(degree, required shadow) states instead, which counts the same ideals
+exactly without visiting them one by one.  Both are independent of every
+closed formula in :mod:`tspread.construction`, which is the point: the two
+routes are compared cell by cell in :func:`cross_validate`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 from .ideals import SpreadIdeal
-from .monomials import Context, Monomial, spread_monomials
+from .monomials import Context, Monomial, spread_count, spread_monomials
 
 # degrees beyond floor((n-1)/t) + 1 carry no t-spread monomials at all
 def max_spread_degree(n: int, t: int) -> int:
@@ -32,15 +35,22 @@ def max_spread_degree(n: int, t: int) -> int:
 @dataclass(frozen=True)
 class SearchBudget:
     """Caps for exhaustive enumeration; exceeding any of them aborts the
-    search with a partial-result marker rather than a silent wrong answer."""
+    search with a partial-result marker rather than a silent wrong answer.
+
+    ``max_states`` caps the down-sets that the max-corner search visits,
+    which is its real work.  Before any layer is built, a search whose
+    layers hold more monomials than ``max_states`` is refused, because it
+    would visit about that many down-sets at the least.  ``max_ideals``
+    caps the ideals counted or walked; ``timeout`` is in wall-clock seconds.
+    """
 
     max_n: int = 32
-    max_total_gens: int = 1_000_000
+    max_states: int = 10_000_000
     max_ideals: int = 50_000_000
-    timeout: float | None = None  # wall-clock seconds; None = no limit
+    timeout: float | None = None  # None = no limit
 
     def __post_init__(self):
-        if self.max_n < 1 or self.max_total_gens < 1 or self.max_ideals < 1:
+        if self.max_n < 1 or self.max_states < 1 or self.max_ideals < 1:
             raise ValueError("budget caps must be positive")
 
 
@@ -55,11 +65,13 @@ class TableCell:
     provenance: str = ""
     partial: bool = False  # True: enumeration aborted, value is a lower bound
     unconstrained: int | None = None  # max with no corner-at-l1 requirement
+    ideals: int | None = None  # ideals counted; a lower bound when partial
 
 
 class _Layer:
-    """M_{n,d,t} with bitmask machinery: immediate predecessors under the
-    move order (decrement one index) and per-monomial shadows."""
+    """M_{n,d,t} with bitmask machinery: per monomial, its up-set in the move
+    order (itself and every monomial reached by raising indices) and its
+    shadow in the next layer."""
 
     def __init__(self, ctx: Context, d: int):
         self.ctx = ctx
@@ -69,18 +81,18 @@ class _Layer:
         self.size = len(self.monomials)
         self.maxval = [u[-1] if u else 0 for u in self.monomials]
         t = ctx.spread_t
-        self.preds = []
-        for u in self.monomials:
-            mask = 0
+        # an immediate predecessor decrements one index and sits earlier in
+        # the list, so up-sets are complete when filled in from the end
+        up = [1 << q for q in range(self.size)]
+        for q in reversed(range(self.size)):
+            u = self.monomials[q]
             for p in range(len(u)):
                 v = u[p] - 1
                 if v < 1 or (p > 0 and v - u[p - 1] < t):
                     continue
-                j = self.index.get(u[:p] + (v,) + u[p + 1:])
-                if j is not None:
-                    mask |= 1 << j
-            self.preds.append(mask)
-        self.shadow: list[int] | None = None  # masks into the next layer
+                up[self.index[u[:p] + (v,) + u[p + 1:]]] |= up[q]
+        self.up = up
+        self.shadow = [0] * self.size  # masks into the next layer, see link
 
     def link(self, nxt: "_Layer") -> None:
         t = self.ctx.spread_t
@@ -106,70 +118,102 @@ class _Layer:
             mask ^= low
         return out
 
-    def shadow_mask(self, mask: int) -> int:
-        s = 0
-        sh = self.shadow
-        while mask:
-            low = mask & -mask
-            s |= sh[low.bit_length() - 1]
-            mask ^= low
-        return s
 
+def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
+    """The layers of degree l1 up to the top degree, each linked to the next.
 
-def _layers(ctx: Context, ell1: int) -> list[_Layer]:
+    Raises BudgetExceededError, before building anything, when the layers
+    would hold more than ``budget.max_states`` monomials in total.  Each
+    oracle search visits at least about that many down-sets: in every layer,
+    one per monomial outside the iterated shadow of the degree-l1 bottom
+    x_1 x_{1+t} ... of the move order.
+    """
     top = max_spread_degree(ctx.n_vars, ctx.spread_t)
+    total = sum(spread_count(ctx.n_vars, d, ctx.spread_t) for d in range(ell1, top + 1))
+    if total > budget.max_states:
+        raise BudgetExceededError(
+            f"{total} monomials in degrees {ell1}..{top} exceed the state "
+            f"budget {budget.max_states}"
+        )
     layers = [_Layer(ctx, d) for d in range(ell1, top + 1)]
     for a in range(len(layers) - 1):
         layers[a].link(layers[a + 1])
     return layers
 
 
-def _down_set_masks(layer: _Layer, required: int = 0):
-    """All down-sets of the move order containing `required`, as bitmasks.
+def _down_sets(layer: _Layer, required: int = 0):
+    """Every down-set D of the move order that contains ``required``.
 
-    Elements are scanned in slex-descending order, a linear extension (every
-    move lowers the tuple lexicographically), so including an element is
-    legal exactly when its immediate predecessors are already in.  `required`
-    must itself be a down-set, which every shadow is.
+    Yields ``(gens, shadow, mm, cnt)``: the bitmask of D minus ``required``
+    (the new generators), the shadow of D in the next layer, the largest
+    last index among the new generators (-1 if there are none) and how many
+    of them attain it.  ``required`` must itself be a down-set, which every
+    shadow is.
+
+    Elements are indexed slex-descending, a linear extension of the move
+    order, and the search decides them lowest index first.  Excluding an
+    element takes its whole up-set out of play, so the lowest undecided
+    element always has all its predecessors in D and both branches are
+    legal: the search tree has exactly one leaf per down-set, and the
+    shadow and the (mm, cnt) pair are carried down it incrementally.  The
+    exclude branch is taken first.
     """
-    preds = layer.preds
-
-    def rec(p: int, mask: int):
-        if p == layer.size:
-            yield mask
-            return
-        bit = 1 << p
-        if required & bit:
-            yield from rec(p + 1, mask | bit)
-            return
-        yield from rec(p + 1, mask)
-        if preds[p] & ~mask == 0:
-            yield from rec(p + 1, mask | bit)
-
-    if layer.size == 0:
-        yield 0
-        return
-    yield from rec(0, 0)
+    up, link, maxval = layer.up, layer.shadow, layer.maxval
+    shadow = 0
+    rest = required
+    while rest:
+        low = rest & -rest
+        shadow |= link[low.bit_length() - 1]
+        rest ^= low
+    stack = [(((1 << layer.size) - 1) & ~required, 0, shadow, -1, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        free, gens, shadow, mm, cnt = pop()
+        while free:
+            low = free & -free
+            p = low.bit_length() - 1
+            v = maxval[p]
+            if v > mm:
+                push((free ^ low, gens | low, shadow | link[p], v, 1))
+            else:
+                push((free ^ low, gens | low, shadow | link[p], mm,
+                      cnt + 1 if v == mm else cnt))
+            free &= ~up[p]
+        yield gens, shadow, mm, cnt
 
 
 def enumerate_borel_closed(ctx: Context, d: int, budget: SearchBudget | None = None) -> list[list[Monomial]]:
     """All subsets of M_{n,d,t} closed under the admissible moves.
 
     Includes the empty set and the full set.  Raises BudgetExceededError if
-    the count passes ``budget.max_ideals``.
+    the count passes ``budget.max_ideals``, or up front if the degree holds
+    more than ``budget.max_states`` monomials.
     """
     budget = budget or SearchBudget()
     if ctx.n_vars > budget.max_n:
         raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
+    if spread_count(ctx.n_vars, d, ctx.spread_t) > budget.max_states:
+        raise BudgetExceededError(
+            f"degree {d} exceeds the state budget {budget.max_states}"
+        )
     layer = _Layer(ctx, d)
     out = []
-    for mask in _down_set_masks(layer):
+    for gens, _, _, _ in _down_sets(layer):
         if len(out) >= budget.max_ideals:
             raise BudgetExceededError(
                 f"more than {budget.max_ideals} Borel-closed sets in degree {d}"
             )
-        out.append(layer.members(mask))
+        out.append(layer.members(gens))
     return out
+
+
+def _deadline(budget: SearchBudget) -> float | None:
+    return None if budget.timeout is None else time.monotonic() + budget.timeout
+
+
+def _check_deadline(deadline: float | None, budget: SearchBudget) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError(f"timeout of {budget.timeout}s exhausted")
 
 
 def _walk_chains(layers: list[_Layer], budget: SearchBudget):
@@ -178,41 +222,30 @@ def _walk_chains(layers: list[_Layer], budget: SearchBudget):
     Chains start with a nonempty down-set at the first layer (so the initial
     degree is exactly that of ``layers[0]``) and at each later degree range
     over all down-sets containing the shadow of the previous one.  Raises
-    BudgetExceededError when a cap is hit.
+    BudgetExceededError when ``max_ideals`` or ``timeout`` is hit.
     """
-    deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
+    deadline = _deadline(budget)
+    last = len(layers) - 1
     count = 0
-    total_gens = 0
 
     def rec(li: int, required: int, chain: list):
-        nonlocal count, total_gens
+        nonlocal count
         layer = layers[li]
-        for mask in _down_set_masks(layer, required):
-            gens = mask & ~required
+        for gens, shadow, _, _ in _down_sets(layer, required):
             if li == 0 and gens == 0:
                 continue
-            link = chain
-            if gens:
-                total_gens += gens.bit_count()
-                if total_gens > budget.max_total_gens:
-                    raise BudgetExceededError(
-                        f"generator budget {budget.max_total_gens} exhausted"
-                    )
-                link = chain + [(layer.d, gens, layer)]
-            if li + 1 == len(layers):
-                count += 1
-                if count > budget.max_ideals:
-                    raise BudgetExceededError(
-                        f"ideal budget {budget.max_ideals} exhausted"
-                    )
-                if deadline is not None and count % 1024 == 0:
-                    if time.monotonic() > deadline:
-                        raise BudgetExceededError(
-                            f"timeout of {budget.timeout}s exhausted"
-                        )
-                yield link
-            else:
-                yield from rec(li + 1, layer.shadow_mask(mask), link)
+            link = chain + [(layer.d, gens, layer)] if gens else chain
+            if li < last:
+                yield from rec(li + 1, shadow, link)
+                continue
+            count += 1
+            if count > budget.max_ideals:
+                raise BudgetExceededError(
+                    f"ideal budget {budget.max_ideals} exhausted"
+                )
+            if count % 1024 == 0:
+                _check_deadline(deadline, budget)
+            yield link
 
     yield from rec(0, 0, [])
 
@@ -229,39 +262,108 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
         raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
     if ell1 < 1 or ell1 > max_spread_degree(ctx.n_vars, ctx.spread_t):
         return
-    for chain in _walk_chains(_layers(ctx, ell1), budget):
+    for chain in _walk_chains(_layers(ctx, ell1, budget), budget):
         gens = {d: tuple(layer.members(mask)) for d, mask, layer in chain}
         yield SpreadIdeal(ctx, gens)
 
 
-def _corner_stats(chain, t: int):
-    """Per-ideal corner data from a chain: list of (k, ell, value).
+# solve() past the top layer: one (empty) choice, no corner, no candidate
+_TOP = (1, ((-1, 0),), ((-1, 0),))
 
-    The degree-l candidate sits at k = mm - t(l-1) - 1 with mm the largest
-    last index among the new generators; it survives iff no later candidate
-    reaches it, and its Betti value equals the number of generators attaining
-    mm.
+
+class _CornerSearch:
+    """Memoised max-corner search over (layer, required shadow) states.
+
+    Corners are read top-down: the new generators of degree l give the
+    candidate k = mm - t(l-1) - 1 (mm their largest last index, cnt how
+    many attain it), and it is a corner iff k exceeds b, the largest
+    candidate of a higher degree (-1 if none); the corner's Betti value is
+    cnt.  The layers from l up therefore reach the layers below only
+    through the pair (b, r), r their corner count, and through whether all
+    their corners have value 1.
+
+    ``solve(li, required)`` covers every choice of the layers from ``li`` up
+    with the down-set of layer ``li`` containing ``required``.  It returns
+    ``(ideals, front, unit)``: the exact number of such choices, the pairs
+    (b, r) that are not dominated, and for each b the largest r among the
+    choices whose corners all have value 1.
+
+    Dominance on ``front``: (b, r) beats (b', r') when b <= b' and r >= r'.
+    A layer below with candidate k keeps it.  If k > b', both become
+    (k, r + 1) and (k, r' + 1); if b < k <= b', they become (k, r + 1) and
+    (b', r'), with k <= b'; if k <= b, both stay.  So the best r, with or
+    without a corner in the initial degree (k > b), is read off the front.
+    The value-1 condition does not join this order: a smaller b makes more
+    candidates below into corners, and a corner of value above 1 then
+    disqualifies the choice that a larger b would have kept.  Among the
+    value-1 choices, only those with equal b compare, hence ``unit``.
     """
-    corners = []
-    best = -1
-    for d, gens, layer in reversed(chain):
-        mm, cnt = 0, 0
-        maxval = layer.maxval
-        m = gens
-        while m:
-            low = m & -m
-            v = maxval[low.bit_length() - 1]
-            if v > mm:
-                mm, cnt = v, 1
-            elif v == mm:
-                cnt += 1
-            m ^= low
-        k = mm - t * (d - 1) - 1
-        if k > best:
-            corners.append((k, d, cnt))
-            best = k
-    corners.reverse()
-    return corners
+
+    def __init__(self, layers: list[_Layer], budget: SearchBudget):
+        self.layers = layers
+        self.budget = budget
+        self.deadline = _deadline(budget)
+        self.visited = 0  # down-sets, against budget.max_states
+        self.memo: list[dict] = [{} for _ in layers]
+
+    def groups(self, li: int, required: int) -> dict:
+        """Down-sets of layer ``li`` containing ``required``, counted per
+        (shadow, mm, cnt == 1)."""
+        _check_deadline(self.deadline, self.budget)
+        left = self.budget.max_states - self.visited
+        groups: dict[tuple[int, int, bool], int] = {}
+        seen = 0
+        down_sets = _down_sets(self.layers[li], required)
+        for seen, (_, shadow, mm, cnt) in enumerate(down_sets, 1):
+            if seen > left:
+                raise BudgetExceededError(
+                    f"state budget {self.budget.max_states} exhausted"
+                )
+            key = (shadow, mm, cnt == 1)
+            groups[key] = groups.get(key, 0) + 1
+        self.visited += seen
+        return groups
+
+    def solve(self, li: int, required: int):
+        if li == len(self.layers):
+            return _TOP
+        memo = self.memo[li]
+        found = memo.get(required)
+        if found is None:
+            found = memo[required] = self._solve(li, required)
+        return found
+
+    def _solve(self, li: int, required: int):
+        layer = self.layers[li]
+        offset = layer.ctx.spread_t * (layer.d - 1) + 1
+        ideals = 0
+        front: dict[int, int] = {}
+        unit: dict[int, int] = {}
+        for (shadow, mm, one), mult in self.groups(li, required).items():
+            count, above, above_unit = self.solve(li + 1, shadow)
+            ideals += mult * count
+            k = mm - offset if mm >= 0 else -1
+            for b, r in above:
+                if k > b:
+                    b, r = k, r + 1
+                if front.get(b, -1) < r:
+                    front[b] = r
+            for b, r in above_unit:
+                if k > b:
+                    if not one:
+                        continue
+                    b, r = k, r + 1
+                if unit.get(b, -1) < r:
+                    unit[b] = r
+        if ideals > self.budget.max_ideals:
+            raise BudgetExceededError(
+                f"ideal budget {self.budget.max_ideals} exhausted"
+            )
+        pareto = []
+        for b in sorted(front):
+            if not pareto or front[b] > pareto[-1][1]:
+                pareto.append((b, front[b]))
+        return ideals, tuple(pareto), tuple(unit.items())
 
 
 def brute_force_max_corners(
@@ -271,43 +373,59 @@ def brute_force_max_corners(
     require_corner_at_ell1: bool = True,
     require_unit_values: bool = True,
 ) -> TableCell:
-    """Maximal corner count over all enumerated ideals of initial degree l1.
+    """Maximal corner count over all ideals of initial degree l1.
 
     ``require_corner_at_ell1`` keeps only ideals whose corner sequence starts
     in degree l1; for l1 >= 3 that corner must have homological index k >= 1
     (the corner-sequence convention), while in degree 2 the degenerate
     position (0, 2) is admitted, matching the small-n analysis.  With
     ``require_unit_values`` every corner value must equal 1.  The cell also
-    records the unconstrained maximum for comparison.
+    records the unconstrained maximum and the number of ideals.
 
-    A value of None means no qualifying ideal exists (a dash in the tables).
-    On budget exhaustion the cell is marked partial and its value is only a
-    lower bound.
+    The search is :class:`_CornerSearch` over the degrees above l1; the
+    nonempty down-sets of degree l1 are combined with it here, where the
+    two requirements apply.  A value of None means no qualifying ideal
+    exists (a dash in the tables).  On budget exhaustion the cell is marked
+    partial and its value and ideal count are only lower bounds.
     """
     budget = budget or SearchBudget()
     t = ctx.spread_t
     best: int | None = None
     unconstrained: int | None = None
+    ideals = 0
     partial = False
     try:
-        if ell1 <= max_spread_degree(ctx.n_vars, t) and ctx.n_vars <= budget.max_n:
-            for chain in _walk_chains(_layers(ctx, ell1), budget):
-                corners = _corner_stats(chain, t)
-                r = len(corners)
-                if unconstrained is None or r > unconstrained:
-                    unconstrained = r
-                if require_corner_at_ell1:
-                    k1, d1, _ = corners[0]
-                    if d1 != ell1 or (ell1 >= 3 and k1 < 1):
-                        continue
-                if require_unit_values and any(c != 1 for _, _, c in corners):
-                    continue
-                if best is None or r > best:
-                    best = r
-        elif ctx.n_vars > budget.max_n:
+        if ctx.n_vars > budget.max_n:
             raise BudgetExceededError(
                 f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}"
             )
+        if ell1 <= max_spread_degree(ctx.n_vars, t):
+            search = _CornerSearch(_layers(ctx, ell1, budget), budget)
+            offset = t * (ell1 - 1) + 1
+            for (shadow, mm, one), mult in search.groups(0, 0).items():
+                if mm < 0:
+                    continue  # no generator in degree l1
+                count, above, above_unit = search.solve(1, shadow)
+                ideals += mult * count
+                if ideals > budget.max_ideals:
+                    raise BudgetExceededError(
+                        f"ideal budget {budget.max_ideals} exhausted"
+                    )
+                k = mm - offset
+                top = max(r + (k > b) for b, r in above)
+                if unconstrained is None or top > unconstrained:
+                    unconstrained = top
+                for b, r in (above_unit if require_unit_values else above):
+                    if k > b:  # degree l1 holds a corner
+                        if require_unit_values and not one:
+                            continue
+                        if require_corner_at_ell1 and ell1 >= 3 and k < 1:
+                            continue
+                        r += 1
+                    elif require_corner_at_ell1:
+                        continue
+                    if best is None or r > best:
+                        best = r
     except BudgetExceededError:
         partial = True
     return TableCell(
@@ -318,6 +436,7 @@ def brute_force_max_corners(
         provenance="brute-force",
         partial=partial,
         unconstrained=unconstrained,
+        ideals=ideals,
     )
 
 
@@ -411,7 +530,8 @@ def cross_validate(
         table agree with the generator characterization;
     (c) per cell: brute-force maximum == closed-form maximum == number of
         constructed witness monomials (wherever each is defined), and the
-        constructed ideal's corners sit at (n - t(l-1) - 1, l) with value 1.
+        constructed ideal's corners sit at (n - t(l-1) - 1, l) with value 1;
+        the brute-force search must also count exactly the ideals of (b).
 
     Budget exhaustion marks the affected record and the report as partial.
     """
@@ -485,6 +605,8 @@ def cross_validate(
                 ok = (built == formula) and positions_ok and values_ok
                 if not cell.partial:
                     ok = ok and cell.value == formula
+                    if not partial:  # (b) walked the ideals the search counted
+                        ok = ok and cell.ideals == cases
                 elif cell.value is not None and formula is not None:
                     ok = ok and cell.value <= formula  # partial: lower bound
                 report.records.append({

@@ -2,13 +2,19 @@
 
 Everything here is deliberately independent of the library's fast paths:
 subset filters, componentwise-domination closures, the basis-walk stability
-test, and hand-transcribed golden values.
+test, the one-ideal-at-a-time max-corner walk, and hand-transcribed golden
+values.
 """
 
 from functools import lru_cache
 from itertools import combinations
 
-from tspread import Context, borel_closure_degree, spread_monomials
+from tspread import (
+    Context,
+    borel_closure_degree,
+    enumerate_strongly_stable_ideals,
+    spread_monomials,
+)
 
 # Maximal corner counts for 2-spread ideals, rows = initial degree,
 # columns n = 4..20; None is a dash (no qualifying ideal).
@@ -107,6 +113,60 @@ def find_stability_violation(ideal):
                             and not member(set(moved))):
                         return u, j, i, moved
     return None
+
+
+def corner_stats(ideal):
+    """Corner data read off the generators of one ideal: list of (k, l, value).
+
+    The degree-l candidate sits at k = mm - t(l-1) - 1 with mm the largest
+    last index among the degree-l generators; it survives iff no candidate
+    of a higher degree reaches it, and its Betti value is the number of
+    generators attaining mm.
+    """
+    t = ideal.ctx.spread_t
+    corners = []
+    best = -1
+    for d in sorted(ideal.gens, reverse=True):
+        lasts = [u[-1] for u in ideal.gens[d]]
+        mm = max(lasts)
+        k = mm - t * (d - 1) - 1
+        if k > best:
+            corners.append((k, d, lasts.count(mm)))
+            best = k
+    corners.reverse()
+    return corners
+
+
+# (require_corner_at_ell1, require_unit_values)
+FLAG_COMBINATIONS = ((True, True), (True, False), (False, True), (False, False))
+
+
+def walk_max_corners(ctx, ell1):
+    """Maximal corner counts by walking every ideal (reference oracle).
+
+    Returns ``(ideals, unconstrained, values)``, where ``values`` maps each
+    pair in FLAG_COMBINATIONS to the maximum under those requirements, with
+    the meaning of :func:`tspread.brute_force_max_corners`.  Desk scale only.
+    """
+    values = dict.fromkeys(FLAG_COMBINATIONS)
+    unconstrained = None
+    ideals = 0
+    for ideal in enumerate_strongly_stable_ideals(ctx, ell1):
+        ideals += 1
+        corners = corner_stats(ideal)
+        r = len(corners)
+        if unconstrained is None or r > unconstrained:
+            unconstrained = r
+        k1, d1, _ = corners[0]
+        at_ell1 = d1 == ell1 and (ell1 < 3 or k1 >= 1)
+        unit = all(c == 1 for _, _, c in corners)
+        for need_corner, need_unit in FLAG_COMBINATIONS:
+            if (need_corner and not at_ell1) or (need_unit and not unit):
+                continue
+            best = values[need_corner, need_unit]
+            if best is None or r > best:
+                values[need_corner, need_unit] = r
+    return ideals, unconstrained, values
 
 
 def domination_closure(u, ctx):

@@ -7,6 +7,7 @@ import pytest
 from tspread import (
     BettiTable,
     Context,
+    construct_extremal_ideal,
     CornerSequence,
     NotStronglyStableError,
     SpreadIdeal,
@@ -14,6 +15,7 @@ from tspread import (
     borel_ideal,
     corners_from_table,
     corners_via_characterization,
+    enumerate_strongly_stable_ideals,
     graded_betti,
     max_index,
     proj_dim,
@@ -51,6 +53,25 @@ class TestGradedBetti:
                 expected[k] = expected.get(k, 0) + mult_binom(m, k)
         got = graded_betti(I).rows()[3]
         assert got == [expected[k] for k in range(len(got))]
+
+    def test_formula_summed_per_generator(self):
+        # the library sums runs of consecutive m in closed form; add
+        # binom(m, k) once per generator instead, with an independent binomial
+        ideals = [construct_extremal_ideal(n, t, ell1)[0]
+                  for n, t, ell1 in ((46, 3, 2), (46, 3, 3), (60, 4, 2))]
+        ideals.append(borel_ideal(
+            [(1, 16), (2, 6, 16), (2, 7, 11, 16), (3, 7, 11, 14, 16)],
+            Context(16, 2)))
+        ideals.extend(enumerate_strongly_stable_ideals(Context(8, 2), 2))
+        for ideal in ideals:
+            t = ideal.ctx.spread_t
+            expected = {}
+            for l, gens in ideal.gens.items():
+                for u in gens:
+                    m = max_index(u) - t * (l - 1) - 1
+                    for k in range(m + 1):
+                        expected[(k, l)] = expected.get((k, l), 0) + mult_binom(m, k)
+            assert graded_betti(ideal).entries == expected
 
     def test_rejects_unstable_ideal(self):
         I = SpreadIdeal.from_generators(Context(9, 2), [(2, 5)])

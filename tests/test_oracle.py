@@ -1,6 +1,7 @@
 """Exhaustive enumeration: down-sets, ideal streams, brute-force corners."""
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,11 @@ from tspread import (
     table_csv,
     table_markdown,
 )
+from tspread import oracle
 from tspread.ideals import SpreadIdeal, generator_move_violation
+from tspread.oracle import max_spread_degree
+
+from helpers import FLAG_COMBINATIONS, walk_max_corners
 
 
 def subset_filter_closed_sets(ctx, d):
@@ -43,6 +48,10 @@ def subset_filter_closed_sets(ctx, d):
 
     return [set(sub) for r in range(len(M) + 1)
             for sub in combinations(M, r) if closed(sub)]
+
+
+def _no_layer(*args):
+    raise AssertionError("a layer was built")
 
 
 class TestEnumerateBorelClosed:
@@ -82,6 +91,11 @@ class TestEnumerateBorelClosed:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_borel_closed(Context(9, 2), 2, SearchBudget(max_ideals=5))
+
+    def test_oversized_degree_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_Layer", _no_layer)
+        with pytest.raises(BudgetExceededError):
+            enumerate_borel_closed(Context(32, 1), 16)
 
 
 class TestEnumerateIdeals:
@@ -188,6 +202,129 @@ class TestBruteForceMaxCorners:
             assert a.value == b.value
 
 
+def _completions(layers, li, required):
+    """(b, r, unit) for every choice of the layers from ``li`` up, walked one
+    by one: b the largest corner candidate, r the corner count, unit whether
+    every corner has value 1."""
+    if li == len(layers):
+        yield -1, 0, True
+        return
+    layer = layers[li]
+    t = layer.ctx.spread_t
+    for gens, shadow, _, _ in oracle._down_sets(layer, required):
+        lasts = [layer.maxval[p] for p in range(layer.size) if gens >> p & 1]
+        for b, r, unit in _completions(layers, li + 1, shadow):
+            if lasts:
+                k = max(lasts) - t * (layer.d - 1) - 1
+                if k > b:
+                    b, r, unit = k, r + 1, unit and lasts.count(max(lasts)) == 1
+            yield b, r, unit
+
+
+class TestCornerSearch:
+    """The memoised search against the one-ideal-at-a-time walk."""
+
+    @pytest.mark.parametrize("n,t,ell1", [(6, 1, 2), (8, 2, 2), (9, 2, 3), (11, 3, 2)])
+    def test_every_state_matches_its_completions(self, n, t, ell1):
+        # the maxima never depend on the value-1 requirement at desk scale, so
+        # the states themselves are checked, fronts and all
+        budget = SearchBudget()
+        layers = oracle._layers(Context(n, t), ell1, budget)
+        search = oracle._CornerSearch(layers, budget)
+        for shadow, _, _ in search.groups(0, 0):
+            search.solve(1, shadow)
+        states = 0
+        for li, memo in enumerate(search.memo):
+            for required, (ideals, front, unit) in memo.items():
+                triples = list(_completions(layers, li, required))
+                assert ideals == len(triples)
+                pareto = [(b, r) for b, r, _ in triples
+                          if not any(b2 <= b and r2 >= r and (b2, r2) != (b, r)
+                                     for b2, r2, _ in triples)]
+                assert sorted(front) == sorted(set(pareto))
+                best_unit = {}
+                for b, r, u in triples:
+                    if u and best_unit.get(b, -1) < r:
+                        best_unit[b] = r
+                assert dict(unit) == best_unit
+                states += 1
+        assert states > 10
+
+    def test_value_one_requirement_binds_on_a_synthetic_pair(self):
+        # On real layers the value-1 requirement has never changed a state,
+        # so it is checked here on two made-up layers, each a two-element
+        # chain.  Degree 1: y < x, both with last index 6, so candidate 5;
+        # only x's shadow holds w.  Degree 2: w < u, candidates 7 and 3; u
+        # needs w.  Two corners need x in degree 1, whose corner then has
+        # value 2: (b, r) = (5, 2) is reachable, but only (5, 1) with value 1.
+        def layer(d, maxval, shadow):
+            return SimpleNamespace(ctx=SimpleNamespace(spread_t=1), d=d,
+                                   size=2, up=[0b11, 0b10], maxval=maxval,
+                                   shadow=shadow)
+
+        layers = [layer(1, [6, 6], [0, 0b01]), layer(2, [9, 5], [0, 0])]
+        ideals, front, unit = oracle._CornerSearch(layers, SearchBudget()).solve(0, 0)
+        assert ideals == 8
+        assert front == ((-1, 0), (5, 2))
+        assert dict(unit) == {-1: 0, 7: 1, 5: 1}
+
+    def test_matches_walk_on_every_desk_cell(self):
+        cells = 0
+        for t, n_hi in ((1, 7), (2, 9), (3, 11)):
+            for n in range(1, n_hi + 1):
+                ctx = Context(n, t)
+                for ell1 in range(1, max_spread_degree(n, t) + 1):
+                    ideals, unconstrained, values = walk_max_corners(ctx, ell1)
+                    for flags in FLAG_COMBINATIONS:
+                        cell = brute_force_max_corners(ctx, ell1, None, *flags)
+                        assert not cell.partial
+                        assert cell.ideals == ideals, (n, t, ell1)
+                        assert cell.unconstrained == unconstrained, (n, t, ell1)
+                        assert cell.value == values[flags], (n, t, ell1, flags)
+                    cells += 1
+        assert cells == 79  # every (n, t, l1) with a t-spread degree l1
+
+    @pytest.mark.parametrize("n,t,ell1,ideals,value", [
+        (9, 2, 2, 3_369, 3),
+        (10, 2, 2, 60_249, 3),
+        (12, 3, 2, 28_227, 3),
+        (11, 2, 3, 1_831_833, 3),
+    ])
+    def test_exact_ideal_counts(self, n, t, ell1, ideals, value):
+        cell = brute_force_max_corners(Context(n, t), ell1)
+        assert not cell.partial
+        assert (cell.ideals, cell.value) == (ideals, value)
+
+    def test_state_budget(self):
+        cell = brute_force_max_corners(Context(10, 2), 2, SearchBudget(max_states=100))
+        assert cell.partial
+        assert cell.value is None or cell.value <= 3
+
+    def test_timeout(self):
+        cell = brute_force_max_corners(Context(10, 2), 2, SearchBudget(timeout=0.0))
+        assert cell.partial
+
+    def test_ideal_budget_is_exact(self):
+        exact = brute_force_max_corners(Context(10, 2), 2)
+        capped = brute_force_max_corners(
+            Context(10, 2), 2, SearchBudget(max_ideals=exact.ideals - 1))
+        assert capped.partial
+        at_cap = brute_force_max_corners(
+            Context(10, 2), 2, SearchBudget(max_ideals=exact.ideals))
+        assert not at_cap.partial and at_cap.ideals == exact.ideals
+
+    def test_oversized_layers_refused_before_building(self, monkeypatch):
+        # 2^32 monomials in all degrees: refused from spread_count alone
+        monkeypatch.setattr(oracle, "_Layer", _no_layer)
+        cell = brute_force_max_corners(Context(32, 1), 1)
+        assert cell.partial
+        assert cell.value is None and cell.ideals == 0
+
+    def test_budget_caps_must_be_positive(self):
+        with pytest.raises(ValueError):
+            SearchBudget(max_states=0)
+
+
 class TestRegenerateTable:
     def test_formula_row(self):
         cells = regenerate_table(2, (4, 9), (2, 2))
@@ -246,6 +383,18 @@ class TestCrossValidate:
         for line in report.to_json_lines().splitlines():
             record = json.loads(line)
             assert "check" in record and "ok" in record
+
+    def test_ideal_count_disagreement_is_reported(self, monkeypatch):
+        search = oracle.brute_force_max_corners
+
+        def miscounting(*args, **kwargs):
+            cell = search(*args, **kwargs)
+            cell.ideals += 1
+            return cell
+
+        monkeypatch.setattr(oracle, "brute_force_max_corners", miscounting)
+        report = cross_validate((6, 6), (2, 2), (2, 2))
+        assert [r["check"] for r in report.disagreements] == ["max-corners"]
 
     def test_partial_budget_marks_report(self):
         report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_ideals=5))
