@@ -28,8 +28,6 @@ from .construction import (
     max_corners,
     nu_max,
     omega_claim_check,
-    s_value,
-    slex_successor_with_max_n,
 )
 from .errors import (
     BudgetExceededError,
@@ -46,7 +44,6 @@ from .ideals import (
     borel_closure_degree,
     borel_ideal,
     is_strongly_stable,
-    iterated_shadow,
     shadow,
 )
 from .monomials import (
@@ -55,13 +52,11 @@ from .monomials import (
     format_monomial,
     is_t_spread,
     max_index,
-    min_index,
     parse_monomial,
     slex_cmp,
     slex_sorted,
     spread_count,
     spread_monomials,
-    support,
 )
 from .oracle import (
     CrossValidationReport,
@@ -69,7 +64,6 @@ from .oracle import (
     TableCell,
     brute_force_max_corners,
     cross_validate,
-    enumerate_borel_closed,
     enumerate_strongly_stable_ideals,
     regenerate_table,
     table_csv,
@@ -106,17 +100,14 @@ __all__ = [
     "corners_via_characterization",
     "cross_validate",
     "decompose",
-    "enumerate_borel_closed",
     "enumerate_strongly_stable_ideals",
     "format_monomial",
     "graded_betti",
     "is_strongly_stable",
     "is_t_spread",
-    "iterated_shadow",
     "j_max",
     "max_corners",
     "max_index",
-    "min_index",
     "nu_max",
     "omega_claim_check",
     "parse_monomial",
@@ -124,14 +115,11 @@ __all__ = [
     "regenerate_table",
     "regularity",
     "render_diagram",
-    "s_value",
     "shadow",
     "slex_cmp",
     "slex_sorted",
-    "slex_successor_with_max_n",
     "spread_count",
     "spread_monomials",
-    "support",
     "table_csv",
     "table_markdown",
 ]

@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolationError,
     NotTSpreadError,
 )
-from .ideals import SpreadIdeal
+from .ideals import SpreadIdeal, _dominated, borel_ideal
 from .monomials import Context, Monomial, format_monomial, is_t_spread
 
 
@@ -256,49 +256,6 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
     )
 
 
-def _minimal_generators(omegas, ctx: Context, ell1: int) -> dict[int, tuple[Monomial, ...]]:
-    """Minimal generators of B_t(omegas), one search per degree.
-
-    A monomial belongs to the degree-(l1+j) generators iff it is dominated
-    componentwise by omega_j and its length-(l1+i) prefix escapes domination
-    by omega_i for every i < j (escaping prefix domination is exactly not
-    being a multiple of anything in lower degrees).  The search never
-    materializes the per-degree closures, whose size grows exponentially.
-    """
-    n, t = ctx.n_vars, ctx.spread_t
-    gens: dict[int, tuple[Monomial, ...]] = {}
-    for j, w in enumerate(omegas):
-        deg = ell1 + j
-        earlier = omegas[:j]
-        found: list[Monomial] = []
-        u = [0] * deg
-
-        def rec(p: int, pending: tuple[int, ...]) -> None:
-            if p == deg:
-                found.append(tuple(u))
-                return
-            lo = u[p - 1] + t if p else 1
-            hi = min(w[p], n - t * (deg - 1 - p))
-            for v in range(lo, hi + 1):
-                u[p] = v
-                nxt = []
-                dead = False
-                for i in pending:
-                    if v > earlier[i][p]:
-                        continue  # prefix-domination broken: constraint met
-                    if len(earlier[i]) == p + 1:
-                        dead = True  # whole prefix dominated: u is a multiple
-                        break
-                    nxt.append(i)
-                if not dead:
-                    rec(p + 1, tuple(nxt))
-
-        rec(0, tuple(range(j)))
-        if found:
-            gens[deg] = tuple(found)  # ascending tuple order = slex-descending
-    return gens
-
-
 def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, ConstructionReport]:
     """Build the witness ideal B_t(omegas) and verify its corners.
 
@@ -313,8 +270,7 @@ def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, Co
     from .betti import corners_via_characterization
 
     report = build_omegas(n, t, ell1)
-    gens = _minimal_generators(report.omegas, report.ctx, ell1)
-    ideal = SpreadIdeal(report.ctx, gens)
+    ideal = borel_ideal(report.omegas, report.ctx)
     got = corners_via_characterization(ideal, check_stability=False)
     if got != report.predicted_corners:
         raise InvariantViolationError(
@@ -325,44 +281,17 @@ def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, Co
 
 
 def _max_excluded(n: int, t: int, deg: int, earlier) -> Monomial | None:
-    """slex-max of { u in M_{n,deg,t} : max(u) = n, u escapes prefix
-    domination by every monomial in `earlier` }, or None if the set is empty.
+    """slex-max of { u in M_{n,deg,t} : max(u) = n, u not a multiple of
+    B_t(earlier) }, or None if the set is empty; ``earlier`` holds monomials
+    of degree below ``deg``.
 
     Direct lexicographic search; knows nothing of the closed forms.
     """
-    if deg < 1 or 1 + t * (deg - 1) > n:
+    if deg < 1:
         return None
-    if deg == 1:
-        u1 = (n,)
-        return u1 if not earlier else None
-    u = [0] * deg
-    u[-1] = n
-
-    def rec(p: int, pending: tuple[int, ...]) -> Monomial | None:
-        if p == deg - 1:
-            return tuple(u) if not pending else None
-        lo = u[p - 1] + t if p else 1
-        hi = n - t * (deg - 1 - p)
-        for v in range(lo, hi + 1):
-            u[p] = v
-            nxt = []
-            dead = False
-            for i in pending:
-                wi = earlier[i]
-                if v > wi[p]:
-                    continue
-                if len(wi) == p + 1:
-                    dead = True
-                    break
-                nxt.append(i)
-            if dead:
-                continue
-            r = rec(p + 1, tuple(nxt))
-            if r is not None:
-                return r
-        return None
-
-    return rec(0, tuple(range(len(earlier))))
+    top = tuple(n - t * (deg - 1 - p) for p in range(deg - 1))
+    hit = _dominated(Context(n, t), deg - 1, [top], earlier, first=True)
+    return hit[0] + (n,) if hit else None
 
 
 def omega_claim_check(omegas, ctx: Context, ell1: int) -> bool:

@@ -2,11 +2,11 @@
 
 A t-spread ideal is held by its minimal monomial generators, grouped by
 degree and slex-sorted.  The Borel closure B_t(u_1, ..., u_r) is the smallest
-t-spread strongly stable ideal containing the given monomials; it is computed
-literally from the definition, by breadth-first search over the admissible
-moves x_i * (u / x_j) with i < j.  (The equivalent componentwise-domination
-description of single-monomial closures is exercised by the test suite as an
-independent oracle, never used here.)
+t-spread strongly stable ideal containing the given monomials.  Its members of
+degree deg(u) are the t-spread monomials that u dominates componentwise, so
+every closure here is one prefix-domination search, :func:`_dominated`, which
+derives minimal generators degree by degree.  The literal breadth-first search
+over the moves x_i * (u / x_j) is an independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .monomials import (
 def divides(u: Monomial, v: Monomial) -> bool:
     """True iff the squarefree monomial u divides v (index-set inclusion)."""
     return set(u) <= set(v)
+
+
+def _require_t_spread(u: Monomial, ctx: Context) -> None:
+    if not is_t_spread(u, ctx):
+        raise NotTSpreadError(f"{format_monomial(u)} is not {ctx.spread_t}-spread")
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,7 @@ class SpreadIdeal:
         for u in mons:
             if not u:
                 raise InvalidMonomialError("the unit monomial generates the whole ring")
-            if not is_t_spread(u, ctx):
-                raise NotTSpreadError(
-                    f"{format_monomial(u)} is not {ctx.spread_t}-spread"
-                )
+            _require_t_spread(u, ctx)
         return cls(ctx, _minimalize(mons))
 
     @property
@@ -112,51 +114,79 @@ def _minimalize(monomials) -> dict[int, tuple[Monomial, ...]]:
     return out
 
 
-def _single_moves(w: Monomial, ctx: Context):
-    """Yield all admissible moves x_i * (w / x_j), i < j, that stay t-spread."""
-    t = ctx.spread_t
-    sup = set(w)
-    for j in w:
-        rest = sup - {j}
-        for i in range(1, j):
-            if i in rest:
-                continue
-            moved = tuple(sorted(rest | {i}))
-            if all(b - a >= t for a, b in zip(moved, moved[1:])):
-                yield moved
+def _dominated(ctx: Context, deg: int, tops, earlier, first: bool = False) -> list[Monomial]:
+    """The t-spread degree-``deg`` monomials v that some u in ``tops`` (of
+    degree ``deg``) dominates, v_p <= u_p at every p, and whose prefix
+    v[:len(e)] escapes domination by each e in ``earlier`` (degrees at most
+    ``deg``); slex-descending, or with ``first`` only the slex-largest.
+
+    Escaping is exactly "not a multiple of B_t(earlier)": a w <= e dividing
+    v forces v[:len(e)] <= w <= e, and conversely that prefix is t-spread,
+    lies in B_t(e) and divides v.  The search fixes v one position at a
+    time, smallest index first, so the hits come slex-descending.  It
+    carries the tops and the members of ``earlier`` that still dominate the
+    prefix, and abandons it once a member of ``earlier`` dominates it whole.
+    """
+    n, t = ctx.n_vars, ctx.spread_t
+    found: list[Monomial] = []
+    if any(not e for e in earlier):
+        return found  # the unit monomial divides everything
+    u = [0] * deg
+
+    def rec(p: int, live, pending) -> bool:
+        if p == deg:
+            found.append(tuple(u))
+            return first
+        lo = u[p - 1] + t if p else 1
+        # a lone top needs no filtering, which saves the construction (one
+        # top per degree) about a tenth of its search time
+        lone = len(live) == 1
+        hi = min(live[0][p] if lone else max([w[p] for w in live]),
+                 n - t * (deg - 1 - p))
+        for v in range(lo, hi + 1):
+            u[p] = v
+            nxt = []
+            for e in pending:
+                if v <= e[p]:
+                    if len(e) == p + 1:
+                        break  # the prefix is dominated by e: a multiple
+                    nxt.append(e)
+            else:
+                above = live if lone else [w for w in live if v <= w[p]]
+                if rec(p + 1, above, nxt):
+                    return True
+        return False
+
+    rec(0, tops, earlier)
+    return found
 
 
 def borel_closure_degree(u: Monomial, ctx: Context) -> list[Monomial]:
-    """Degree-deg(u) minimal generators of B_t(u), slex-descending.
-
-    Breadth-first search over single moves x_i * (w / x_j), exactly as the
-    strong-stability condition prescribes; every intermediate monomial is
-    t-spread.
-    """
-    if not is_t_spread(u, ctx):
-        raise NotTSpreadError(f"{format_monomial(u)} is not {ctx.spread_t}-spread")
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for moved in _single_moves(w, ctx):
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return slex_sorted(seen)
+    """Degree-deg(u) members of B_t(u), slex-descending: the t-spread
+    monomials that u dominates componentwise."""
+    _require_t_spread(u, ctx)
+    return _dominated(ctx, len(u), [u], [])
 
 
 def borel_ideal(generators, ctx: Context) -> SpreadIdeal:
-    """B_t(u_1, ..., u_r): per-degree closure union, then minimalized.
+    """B_t(u_1, ..., u_r) by its minimal generators.
 
+    In degree d these are the monomials dominated by some input of degree d
+    that are not multiples of B_t(inputs of lower degree).
     ``borel_ideal([])`` is the zero ideal.
     """
-    closure: list[Monomial] = []
+    by_degree: dict[int, set[Monomial]] = {}
     for u in generators:
-        closure.extend(borel_closure_degree(u, ctx))
-    return SpreadIdeal(ctx, _minimalize(closure))
+        _require_t_spread(u, ctx)
+        by_degree.setdefault(len(u), set()).add(u)
+    gens: dict[int, tuple[Monomial, ...]] = {}
+    earlier: list[Monomial] = []
+    for d in sorted(by_degree):
+        found = _dominated(ctx, d, list(by_degree[d]), earlier)
+        if found:
+            gens[d] = tuple(found)
+        earlier.extend(by_degree[d])
+    return SpreadIdeal(ctx, gens)
 
 
 def shadow(monomial_set, ctx: Context) -> list[Monomial]:
@@ -164,18 +194,16 @@ def shadow(monomial_set, ctx: Context) -> list[Monomial]:
 
     May be empty even for nonempty T.
     """
-    n, t = ctx.n_vars, ctx.spread_t
     monomial_set = list(monomial_set)
     if len({len(w) for w in monomial_set}) > 1:
         raise InvalidMonomialError("shadow input must share one degree")
     out = set()
     for w in monomial_set:
-        for i in range(1, n + 1):
-            if i in w:
-                continue
-            grown = tuple(sorted(w + (i,)))
-            if all(b - a >= t for a, b in zip(grown, grown[1:])):
-                out.add(grown)
+        for i in range(1, ctx.n_vars + 1):
+            if i not in w:
+                grown = tuple(sorted(w + (i,)))
+                if is_t_spread(grown, ctx):
+                    out.add(grown)
     return slex_sorted(out)
 
 

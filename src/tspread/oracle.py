@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
-from .ideals import SpreadIdeal
+from .ideals import SpreadIdeal, shadow as shadow_of
 from .monomials import Context, Monomial, spread_count, spread_monomials
 
 # degrees beyond floor((n-1)/t) + 1 carry no t-spread monomials at all
@@ -95,19 +95,8 @@ class _Layer:
         self.shadow = [0] * self.size  # masks into the next layer, see link
 
     def link(self, nxt: "_Layer") -> None:
-        t = self.ctx.spread_t
-        self.shadow = []
-        for u in self.monomials:
-            mask = 0
-            for i in range(1, self.ctx.n_vars + 1):
-                if i in u:
-                    continue
-                grown = tuple(sorted(u + (i,)))
-                if all(b - a >= t for a, b in zip(grown, grown[1:])):
-                    j = nxt.index.get(grown)
-                    if j is not None:
-                        mask |= 1 << j
-            self.shadow.append(mask)
+        self.shadow = [sum(1 << nxt.index[v] for v in shadow_of([u], self.ctx))
+                       for u in self.monomials]
 
     def members(self, mask: int) -> list[Monomial]:
         """Monomials of a bitmask, slex-descending."""
@@ -524,8 +513,8 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Cross-check every independent route against every closed form.
 
-    (a) single-monomial Borel closures computed by move search equal the
-        componentwise-domination sets, for low degrees;
+    (a) single-monomial Borel closures equal the down-sets of the move
+        order that the oracle builds from unit decrements, for low degrees;
     (b) on every enumerated strongly stable ideal, corners read off the Betti
         table agree with the generator characterization;
     (c) per cell: brute-force maximum == closed-form maximum == number of
@@ -534,29 +523,34 @@ def cross_validate(
         the brute-force search must also count exactly the ideals of (b).
 
     Budget exhaustion marks the affected record and the report as partial.
+    The closed forms need t >= 2 and l1 >= 2; a range reaching below either
+    raises ConstructionInapplicableError before any record is built.
     """
     from .betti import corners_from_table, corners_via_characterization, graded_betti
     from .construction import build_omegas, construct_extremal_ideal, max_corners
     from .errors import ConstructionInapplicableError
     from .ideals import borel_closure_degree
 
+    if t_range[0] < 2 or ell1_range[0] < 2:
+        raise ConstructionInapplicableError(
+            "cross-validation requires t >= 2 and initial degree >= 2, got "
+            f"t={t_range[0]} and initial degree {ell1_range[0]}")
     budget = budget or SearchBudget()
     report = CrossValidationReport()
 
     for t in range(t_range[0], t_range[1] + 1):
         for n in range(n_range[0], n_range[1] + 1):
             ctx = Context(n, t)
-            # (a) closure equivalence, degrees up to 4
+            # (a) closures against down-sets of the move order, degrees up to 4
             bad = 0
             checked = 0
             for d in range(1, min(4, max_spread_degree(n, t)) + 1):
-                basis = spread_monomials(ctx, d)
-                for u in basis:
-                    closure = borel_closure_degree(u, ctx)
-                    dominated = [v for v in basis
-                                 if all(a <= b for a, b in zip(v, u))]
+                layer = _Layer(ctx, d)
+                for q, u in enumerate(layer.monomials):
+                    below = [v for v, up in zip(layer.monomials, layer.up)
+                             if up >> q & 1]
                     checked += 1
-                    if closure != dominated:
+                    if borel_closure_degree(u, ctx) != below:
                         bad += 1
             report.records.append({
                 "check": "closure-domination", "n": n, "t": t,

@@ -1,9 +1,9 @@
 """Shared test oracles and golden data.
 
 Everything here is deliberately independent of the library's fast paths:
-subset filters, componentwise-domination closures, the basis-walk stability
-test, the one-ideal-at-a-time max-corner walk, and hand-transcribed golden
-values.
+subset filters, breadth-first closures over the moves, componentwise-
+domination closures, the basis-walk stability test, the one-ideal-at-a-time
+max-corner walk, and hand-transcribed golden values.
 """
 
 from functools import lru_cache
@@ -11,6 +11,7 @@ from itertools import combinations
 
 from tspread import (
     Context,
+    SpreadIdeal,
     borel_closure_degree,
     enumerate_strongly_stable_ideals,
     spread_monomials,
@@ -175,9 +176,45 @@ def domination_closure(u, ctx):
             if all(a <= b for a, b in zip(v, u))]
 
 
+def bfs_closure(u, ctx):
+    """Degree-deg(u) members of B_t(u), slex-descending, by breadth-first
+    search over the moves x_i * (w / x_j), i < j, that stay t-spread: the
+    closure taken literally from the definition of strong stability."""
+    t = ctx.spread_t
+    seen = {u}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            sup = set(w)
+            for j in w:
+                rest = sup - {j}
+                for i in range(1, j):
+                    if i in rest:
+                        continue
+                    moved = tuple(sorted(rest | {i}))
+                    if (all(b - a >= t for a, b in zip(moved, moved[1:]))
+                            and moved not in seen):
+                        seen.add(moved)
+                        nxt.append(moved)
+        frontier = nxt
+    return sorted(seen)
+
+
+def bfs_borel_ideal(gens, ctx):
+    """B_t(gens) from the union of the BFS closures, keeping the members
+    that no other member divides (subset filter).  Desk scale only."""
+    closure = {v for u in gens for v in bfs_closure(u, ctx)}
+    by_degree = {}
+    for v in sorted(closure):
+        if not any(w != v and set(w) <= set(v) for w in closure):
+            by_degree.setdefault(len(v), []).append(v)
+    return SpreadIdeal(ctx, {d: tuple(vs) for d, vs in by_degree.items()})
+
+
 def closure_equivalence_cases(max_n=12, max_t=3, max_d=4):
-    """Compare BFS closures against the domination oracle; returns
-    (cases, mismatches)."""
+    """Compare the library's closures against the BFS and the domination
+    oracles; returns (cases, mismatches)."""
     cases = mismatches = 0
     for t in range(1, max_t + 1):
         for n in range(2, max_n + 1):
@@ -185,7 +222,8 @@ def closure_equivalence_cases(max_n=12, max_t=3, max_d=4):
             for d in range(1, max_d + 1):
                 for u in spread_monomials(ctx, d):
                     cases += 1
-                    if borel_closure_degree(u, ctx) != domination_closure(u, ctx):
+                    got = borel_closure_degree(u, ctx)
+                    if not got == bfs_closure(u, ctx) == domination_closure(u, ctx):
                         mismatches += 1
     return cases, mismatches
 

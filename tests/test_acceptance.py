@@ -181,7 +181,8 @@ def test_criterion_7_property_suite():
                         (comb(n - (d - 1) * (t - 1), d)
                          if n - (d - 1) * (t - 1) >= 0 else 0)
 
-        # move-search closures equal domination sets (n <= 12, t <= 3, d <= 4)
+        # library closures equal the BFS and domination oracles
+        # (n <= 12, t <= 3, d <= 4)
         cases, mismatches = closure_equivalence_cases(max_n=12, max_t=3, max_d=4)
         assert mismatches == 0 and cases >= 1000
 

@@ -202,6 +202,18 @@ class TestValidate:
                               "--l", "2:2", "--max-ideals", "5"], capsys)
         assert code == 4
 
+    def test_initial_degree_below_two_exits_3(self, capsys):
+        code, out, err = run_cli(["validate", "--n", "5:5", "--t", "2:2",
+                                  "--l", "0:1"], capsys)
+        assert code == 3 and out == ""
+        assert "initial degree 0" in err
+
+    def test_spread_below_two_exits_3(self, capsys):
+        code, out, err = run_cli(["validate", "--n", "5:5", "--t", "1:1",
+                                  "--l", "2:2"], capsys)
+        assert code == 3 and out == ""
+        assert "t=1" in err
+
 
 class TestArgumentErrors:
     def test_missing_required_exits_2(self, capsys):

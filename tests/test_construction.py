@@ -7,7 +7,7 @@ from tspread import (
     Context,
     InvalidMonomialError,
     NotTSpreadError,
-    borel_ideal,
+    SpreadIdeal,
     build_omegas,
     construct_extremal_ideal,
     corners_via_characterization,
@@ -16,11 +16,11 @@ from tspread import (
     max_corners,
     nu_max,
     omega_claim_check,
-    s_value,
-    slex_successor_with_max_n,
     spread_monomials,
 )
-from helpers import OMEGAS_46_3, TABLE_T2, TABLE_T3, table_cells
+from tspread.construction import s_value, slex_successor_with_max_n
+
+from helpers import OMEGAS_46_3, TABLE_T2, TABLE_T3, bfs_closure, table_cells
 
 
 class TestDecompose:
@@ -235,13 +235,16 @@ class TestBuildOmegas:
 
 class TestConstructExtremalIdeal:
     def test_matches_borel_ideal_at_desk_scale(self):
-        # closures grow exponentially with degree, so the n=46 example is out
-        # of reach for the materializing path; these cover every regime
-        # (forward-only, critic+backward, small-k, higher initial degree)
+        # the BFS oracle materializes every closure, and closures grow
+        # exponentially with degree, so the n=46 example is out of its reach;
+        # these cover every regime (forward-only, critic+backward, small-k,
+        # higher initial degree)
         for n, t, ell1 in [(14, 3, 2), (9, 2, 2), (13, 2, 2), (20, 3, 4),
                            (32, 5, 2), (11, 3, 3), (6, 2, 2), (18, 4, 3)]:
             ideal, rep = construct_extremal_ideal(n, t, ell1)
-            assert ideal == borel_ideal(rep.omegas, Context(n, t))
+            ctx = Context(n, t)
+            closures = [v for w in rep.omegas for v in bfs_closure(w, ctx)]
+            assert ideal == SpreadIdeal.from_generators(ctx, closures)
 
     def test_fourteen_variable_corners(self):
         ideal, rep = construct_extremal_ideal(14, 3, 2)

@@ -17,15 +17,15 @@ from tspread import (
     format_monomial,
     is_strongly_stable,
     is_t_spread,
-    iterated_shadow,
     shadow,
     spread_monomials,
 )
-from tspread.ideals import generator_move_violation
+from tspread.ideals import generator_move_violation, iterated_shadow
 from tspread.oracle import max_spread_degree
 
 
-from helpers import domination_closure, find_stability_violation
+from helpers import (bfs_borel_ideal, bfs_closure, domination_closure,
+                     find_stability_violation)
 
 
 def spread_contexts(max_n=9, max_t=3):
@@ -50,12 +50,13 @@ class TestBorelClosureDegree:
         assert borel_closure_degree((2, 5, 9), ctx) == domination_closure((2, 5, 9), ctx)
 
     def test_equivalence_exhaustive_small(self):
-        # BFS over moves == componentwise domination; the full n <= 12 sweep
-        # runs in the acceptance suite
+        # library == BFS over moves == componentwise domination; the full
+        # n <= 12 sweep runs in the acceptance suite
         for ctx in spread_contexts():
             for d in range(1, 5):
                 for u in spread_monomials(ctx, d):
-                    assert borel_closure_degree(u, ctx) == domination_closure(u, ctx)
+                    got = borel_closure_degree(u, ctx)
+                    assert got == bfs_closure(u, ctx) == domination_closure(u, ctx)
 
     def test_slex_domination(self):
         ctx = Context(10, 2)
@@ -103,6 +104,14 @@ class TestBorelIdeal:
         I = borel_ideal([(2, 4, 9), (1, 8)], Context(9, 2))
         again = borel_ideal(I.all_generators(), I.ctx)
         assert again == I
+
+    def test_rejects_non_spread(self):
+        with pytest.raises(NotTSpreadError):
+            borel_ideal([(1, 9), (2, 3)], Context(9, 2))
+
+    def test_unit_input_is_the_whole_ring(self):
+        I = borel_ideal([(2, 5), (), (1, 3, 6)], Context(9, 2))
+        assert I.gens == {0: ((),)}
 
 
 class TestShadow:
@@ -294,6 +303,36 @@ def test_borel_ideal_properties(case):
         assert I.contains(u)
     for v in all_gens:
         assert any(v <= u for u in gens if len(u) == len(v))  # slex >= some input
+
+
+@st.composite
+def borel_inputs(draw):
+    """Generator sets with several inputs of one degree, duplicates, inputs
+    that are multiples of other inputs, and sometimes the unit monomial."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 1, 10))
+    ctx = Context(n, t)
+    pool = [u for d in range(1, (n - 1) // t + 2)
+            for u in spread_monomials(ctx, d)]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    d = len(gens[0])
+    gens += draw(st.lists(st.sampled_from([u for u in pool if len(u) == d]),
+                          max_size=2))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    base = set(draw(st.sampled_from(gens)))
+    multiples = [v for v in pool if base < set(v)]
+    if multiples:
+        gens.append(draw(st.sampled_from(multiples)))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(())
+    return ctx, draw(st.permutations(gens))
+
+
+@given(borel_inputs())
+@settings(max_examples=200, deadline=None)
+def test_borel_ideal_matches_bfs_oracle(case):
+    ctx, gens = case
+    assert borel_ideal(gens, ctx) == bfs_borel_ideal(gens, ctx)
 
 
 @given(spread_monomial_lists())

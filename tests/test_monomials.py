@@ -13,14 +13,13 @@ from tspread import (
     format_monomial,
     is_t_spread,
     max_index,
-    min_index,
     parse_monomial,
     slex_cmp,
     slex_sorted,
     spread_count,
     spread_monomials,
-    support,
 )
+from tspread.monomials import min_index, support
 
 
 from helpers import brute_force_spread

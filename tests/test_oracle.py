@@ -12,7 +12,6 @@ from tspread import (
     borel_ideal,
     brute_force_max_corners,
     cross_validate,
-    enumerate_borel_closed,
     enumerate_strongly_stable_ideals,
     is_strongly_stable,
     regenerate_table,
@@ -20,9 +19,9 @@ from tspread import (
     table_csv,
     table_markdown,
 )
-from tspread import oracle
+from tspread import ideals, oracle
 from tspread.ideals import SpreadIdeal, generator_move_violation
-from tspread.oracle import max_spread_degree
+from tspread.oracle import enumerate_borel_closed, max_spread_degree
 
 from helpers import FLAG_COMBINATIONS, walk_max_corners
 
@@ -395,6 +394,15 @@ class TestCrossValidate:
         monkeypatch.setattr(oracle, "brute_force_max_corners", miscounting)
         report = cross_validate((6, 6), (2, 2), (2, 2))
         assert [r["check"] for r in report.disagreements] == ["max-corners"]
+
+    def test_wrong_closure_is_reported(self, monkeypatch):
+        # check (a) compares closures with the oracle's own move order, so a
+        # closure search that drops a monomial is caught
+        closure = ideals.borel_closure_degree
+        monkeypatch.setattr(ideals, "borel_closure_degree",
+                            lambda u, ctx: closure(u, ctx)[1:])
+        report = cross_validate((5, 5), (2, 2), (2, 2))
+        assert [r["check"] for r in report.disagreements] == ["closure-domination"]
 
     def test_partial_budget_marks_report(self):
         report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_ideals=5))
