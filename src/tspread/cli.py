@@ -64,6 +64,8 @@ def _budget_from(args) -> SearchBudget:
     kwargs = {"timeout": seconds}
     if args.max_ideals is not None:
         kwargs["max_ideals"] = args.max_ideals
+    if args.max_states is not None:
+        kwargs["max_states"] = args.max_states
     return SearchBudget(**kwargs)
 
 
@@ -224,7 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-force-upto", type=int, default=0, metavar="N",
                    help="verify cells with n <= N by exhaustive enumeration")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--max-ideals", type=int, default=None)
+    p.add_argument("--max-ideals", type=int, default=None,
+                   help="cap on the ideals walked one by one")
+    p.add_argument("--max-states", type=int, default=None,
+                   help="cap on the work of the max-corner search")
     p.add_argument("--format", choices=["text", "json", "markdown", "csv"],
                    default="text")
     p.set_defaults(func=cmd_table)
@@ -234,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--l", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--max-ideals", type=int, default=None)
+    p.add_argument("--max-ideals", type=int, default=None,
+                   help="cap on the ideals walked one by one")
+    p.add_argument("--max-states", type=int, default=None,
+                   help="cap on the work of the max-corner search")
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -197,13 +197,16 @@ def shadow(monomial_set, ctx: Context) -> list[Monomial]:
     monomial_set = list(monomial_set)
     if len({len(w) for w in monomial_set}) > 1:
         raise InvalidMonomialError("shadow input must share one degree")
+    t = ctx.spread_t
     out = set()
     for w in monomial_set:
-        for i in range(1, ctx.n_vars + 1):
-            if i not in w:
-                grown = tuple(sorted(w + (i,)))
-                if is_t_spread(grown, ctx):
-                    out.add(grown)
+        if not is_t_spread(w, ctx):
+            continue  # inserting an index only narrows the gaps
+        # x_i fits between neighbours a < b iff i - a >= t and b - i >= t
+        bounds = (1 - t,) + w + (ctx.n_vars + t,)
+        for p in range(len(w) + 1):
+            for i in range(bounds[p] + t, bounds[p + 1] - t + 1):
+                out.add(w[:p] + (i,) + w[p:])
     return slex_sorted(out)
 
 

@@ -12,9 +12,12 @@ list of its degree, and one depth-first pass, :func:`_down_sets`, lists them.
 :func:`enumerate_strongly_stable_ideals` walks the chains one ideal at a
 time; :func:`brute_force_max_corners` runs a dynamic program over
 (degree, required shadow) states instead, which counts the same ideals
-exactly without visiting them one by one.  Both are independent of every
-closed formula in :mod:`tspread.construction`, which is the point: the two
-routes are compared cell by cell in :func:`cross_validate`.
+exactly without visiting them one by one.  Its states share the down-sets
+of equal sets of undecided monomials instead of listing them again, the
+idea of zero-suppressed decision diagrams (Minato, DAC 1993; Knuth, TAOCP
+4A, 7.1.4).  Both routes are independent of every closed formula in
+:mod:`tspread.construction`, which is the point: the two routes are
+compared cell by cell in :func:`cross_validate`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError
+from .errors import (BudgetExceededError, ConstructionInapplicableError,
+                     InvariantViolationError)
 from .ideals import SpreadIdeal, shadow as shadow_of
 from .monomials import Context, Monomial, spread_count, spread_monomials
 
@@ -37,11 +41,13 @@ class SearchBudget:
     """Caps for exhaustive enumeration; exceeding any of them aborts the
     search with a partial-result marker rather than a silent wrong answer.
 
-    ``max_states`` caps the down-sets that the max-corner search visits,
-    which is its real work.  Before any layer is built, a search whose
-    layers hold more monomials than ``max_states`` is refused, because it
-    would visit about that many down-sets at the least.  ``max_ideals``
-    caps the ideals counted or walked; ``timeout`` is in wall-clock seconds.
+    ``max_states`` caps the work of the max-corner search: the search nodes
+    it visits plus the family entries it builds, which also bounds what it
+    holds in memory.  Before any layer is built, layers whose masks would
+    need more than ``8 * max_states`` bits are refused.  ``max_ideals``
+    caps the ideals and down-sets walked one at a time; the max-corner
+    search counts ideals without walking them, so it ignores this cap.
+    ``timeout`` is in wall-clock seconds.
     """
 
     max_n: int = 32
@@ -111,23 +117,33 @@ class _Layer:
 def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
     """The layers of degree l1 up to the top degree, each linked to the next.
 
-    Raises BudgetExceededError, before building anything, when the layers
-    would hold more than ``budget.max_states`` monomials in total.  Each
-    oracle search visits at least about that many down-sets: in every layer,
-    one per monomial outside the iterated shadow of the degree-l1 bottom
-    x_1 x_{1+t} ... of the move order.
+    Raises BudgetExceededError, before building anything, when the masks
+    would hold more than ``8 * budget.max_states`` bits: a layer of a
+    monomials above one of b holds a up-sets and a shadows, a * (a + b)
+    bits, so the masks grow with the square of the layer sizes.
     """
     top = max_spread_degree(ctx.n_vars, ctx.spread_t)
-    total = sum(spread_count(ctx.n_vars, d, ctx.spread_t) for d in range(ell1, top + 1))
-    if total > budget.max_states:
+    sizes = [spread_count(ctx.n_vars, d, ctx.spread_t) for d in range(ell1, top + 1)]
+    bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
+    if bits > 8 * budget.max_states:
         raise BudgetExceededError(
-            f"{total} monomials in degrees {ell1}..{top} exceed the state "
-            f"budget {budget.max_states}"
+            f"the masks of degrees {ell1}..{top} need {bits} bits, over "
+            f"8 times the state budget {budget.max_states}"
         )
     layers = [_Layer(ctx, d) for d in range(ell1, top + 1)]
     for a in range(len(layers) - 1):
         layers[a].link(layers[a + 1])
     return layers
+
+
+def _union(masks: list[int], bits: int) -> int:
+    """The OR of ``masks[p]`` over the set bits p of ``bits``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def _down_sets(layer: _Layer, required: int = 0):
@@ -148,13 +164,8 @@ def _down_sets(layer: _Layer, required: int = 0):
     exclude branch is taken first.
     """
     up, link, maxval = layer.up, layer.shadow, layer.maxval
-    shadow = 0
-    rest = required
-    while rest:
-        low = rest & -rest
-        shadow |= link[low.bit_length() - 1]
-        rest ^= low
-    stack = [(((1 << layer.size) - 1) & ~required, 0, shadow, -1, 0)]
+    free = ((1 << layer.size) - 1) & ~required
+    stack = [(free, 0, _union(link, required), -1, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         free, gens, shadow, mm, cnt = pop()
@@ -259,6 +270,10 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
 # solve() past the top layer: one (empty) choice, no corner, no candidate
 _TOP = (1, ((-1, 0),), ((-1, 0),))
 
+# free sets of at most this many elements take their down-sets from a shared
+# family; memoising larger ones saves little time and costs memory
+_FRONTIER = 12
+
 
 class _CornerSearch:
     """Memoised max-corner search over (layer, required shadow) states.
@@ -292,26 +307,93 @@ class _CornerSearch:
         self.layers = layers
         self.budget = budget
         self.deadline = _deadline(budget)
-        self.visited = 0  # down-sets, against budget.max_states
+        self.visited = 0  # nodes and family entries, against max_states
         self.memo: list[dict] = [{} for _ in layers]
+        self.families: list[dict] = [{} for _ in layers]
+
+    def _spend(self, work: int) -> None:
+        self.visited += work
+        if self.visited > self.budget.max_states:
+            raise BudgetExceededError(
+                f"state budget {self.budget.max_states} exhausted"
+            )
 
     def groups(self, li: int, required: int) -> dict:
         """Down-sets of layer ``li`` containing ``required``, counted per
-        (shadow, mm, cnt == 1)."""
+        (shadow, mm, cnt == 1).
+
+        The lowest-first search of :func:`_down_sets` runs only until at
+        most ``_FRONTIER`` elements are free.  Equal nodes at that depth are
+        merged with multiplicities, and the down-sets below each are read
+        from :meth:`_family`, memoised per layer.  Layer 0 has the one state
+        ``required == 0``, so its families are dropped after it.
+        """
         _check_deadline(self.deadline, self.budget)
+        layer = self.layers[li]
+        families = self.families[li] if li else {}
+        up, link, maxval = layer.up, layer.shadow, layer.maxval
         left = self.budget.max_states - self.visited
+        nodes = 0
+        leaves: dict[tuple[int, int, int, bool], int] = {}
+        free = ((1 << layer.size) - 1) & ~required
+        stack = [(free, _union(link, required), -1, False)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            free, shadow, mm, one = pop()
+            while free.bit_count() > _FRONTIER:
+                low = free & -free
+                p = low.bit_length() - 1
+                v = maxval[p]
+                if v > mm:
+                    push((free ^ low, shadow | link[p], v, True))
+                else:
+                    push((free ^ low, shadow | link[p], mm, one and v < mm))
+                free &= ~up[p]
+            nodes += 1
+            if nodes > left:
+                self._spend(nodes)  # raises
+            leaf = (free, shadow, mm, one)
+            leaves[leaf] = leaves.get(leaf, 0) + 1
+        self._spend(nodes)
         groups: dict[tuple[int, int, bool], int] = {}
-        seen = 0
-        down_sets = _down_sets(self.layers[li], required)
-        for seen, (_, shadow, mm, cnt) in enumerate(down_sets, 1):
-            if seen > left:
-                raise BudgetExceededError(
-                    f"state budget {self.budget.max_states} exhausted"
-                )
-            key = (shadow, mm, cnt == 1)
-            groups[key] = groups.get(key, 0) + 1
-        self.visited += seen
+        for (free, shadow, mm, one), mult in leaves.items():
+            family = self._family(families, layer, free)
+            for (extra, fm, fone), count in family.items():
+                if fm > mm:
+                    key = (shadow | extra, fm, fone)
+                elif fm < mm:
+                    key = (shadow | extra, mm, one)
+                else:  # both empty, or a tie at the largest last index
+                    key = (shadow | extra, mm, False)
+                groups[key] = groups.get(key, 0) + mult * count
         return groups
+
+    def _family(self, memo: dict, layer: _Layer, free: int) -> dict:
+        """The down-sets D of the free elements ``free``, counted per
+        (shadow of D, largest last index in D, whether exactly one element
+        of D attains it).
+
+        Built by the include/exclude recursion of :func:`_down_sets`.  It
+        depends on ``free`` alone, so ``memo`` holds it for every state of
+        the layer.  Each entry built is charged to ``max_states``.
+        """
+        family = memo.get(free)
+        if family is not None:
+            return family
+        if not free:
+            family = {(0, -1, False): 1}
+        else:
+            low = free & -free
+            p = low.bit_length() - 1
+            family = dict(self._family(memo, layer, free & ~layer.up[p]))
+            extra, v = layer.shadow[p], layer.maxval[p]
+            included = self._family(memo, layer, free ^ low)
+            for (shadow, fm, one), count in included.items():
+                entry = (shadow | extra, max(v, fm), v > fm or (one and v < fm))
+                family[entry] = family.get(entry, 0) + count
+        memo[free] = family
+        self._spend(len(family))
+        return family
 
     def solve(self, li: int, required: int):
         if li == len(self.layers):
@@ -344,10 +426,6 @@ class _CornerSearch:
                     b, r = k, r + 1
                 if unit.get(b, -1) < r:
                     unit[b] = r
-        if ideals > self.budget.max_ideals:
-            raise BudgetExceededError(
-                f"ideal budget {self.budget.max_ideals} exhausted"
-            )
         pareto = []
         for b in sorted(front):
             if not pareto or front[b] > pareto[-1][1]:
@@ -396,10 +474,6 @@ def brute_force_max_corners(
                     continue  # no generator in degree l1
                 count, above, above_unit = search.solve(1, shadow)
                 ideals += mult * count
-                if ideals > budget.max_ideals:
-                    raise BudgetExceededError(
-                        f"ideal budget {budget.max_ideals} exhausted"
-                    )
                 k = mm - offset
                 top = max(r + (k > b) for b, r in above)
                 if unconstrained is None or top > unconstrained:
@@ -440,9 +514,16 @@ def regenerate_table(
 
     Cells with n <= brute_force_upto are computed by exhaustive enumeration
     (within the budget), the rest by the closed formulas; the provenance
-    field says which.
+    field says which.  Exhaustive cells need l1 >= 2, where the tables
+    start: below that ConstructionInapplicableError is raised before any
+    cell is computed.
     """
     from .construction import max_corners
+
+    if brute_force_upto >= n_range[0] and ell1_range[0] < 2:
+        raise ConstructionInapplicableError(
+            "exhaustive cells require initial degree >= 2, got initial "
+            f"degree {ell1_range[0]}")
 
     cells = []
     for ell1 in range(ell1_range[0], ell1_range[1] + 1):
@@ -519,16 +600,18 @@ def cross_validate(
         table agree with the generator characterization;
     (c) per cell: brute-force maximum == closed-form maximum == number of
         constructed witness monomials (wherever each is defined), and the
-        constructed ideal's corners sit at (n - t(l-1) - 1, l) with value 1;
-        the brute-force search must also count exactly the ideals of (b).
+        corners read off the Betti table of the constructed ideal sit at
+        (n - t(l-1) - 1, l) for l = l1, l1 + 1, ..., one per witness, with
+        value 1; a construction that fails its own verification makes the
+        record fail; the brute-force search must also count exactly the
+        ideals of (b).
 
     Budget exhaustion marks the affected record and the report as partial.
     The closed forms need t >= 2 and l1 >= 2; a range reaching below either
     raises ConstructionInapplicableError before any record is built.
     """
     from .betti import corners_from_table, corners_via_characterization, graded_betti
-    from .construction import build_omegas, construct_extremal_ideal, max_corners
-    from .errors import ConstructionInapplicableError
+    from .construction import construct_extremal_ideal, max_corners
     from .ideals import borel_closure_degree
 
     if t_range[0] < 2 or ell1_range[0] < 2:
@@ -585,18 +668,25 @@ def cross_validate(
                 if cell.partial:
                     report.partial = True
                 formula = max_corners(n, t, ell1)
+                built = None
+                corners_ok = True
+                detail = "disagreement"
                 try:
                     ideal, rep = construct_extremal_ideal(n, t, ell1)
-                    built = rep.total
-                    positions_ok = all(
-                        k + t * (l - 1) + 1 == n
-                        for k, l in rep.predicted_corners.corners
-                    )
-                    values_ok = all(v == 1 for v in rep.predicted_corners.values)
                 except ConstructionInapplicableError:
-                    built = None
-                    positions_ok = values_ok = True
-                ok = (built == formula) and positions_ok and values_ok
+                    pass
+                except InvariantViolationError as exc:
+                    corners_ok = False
+                    detail = f"construction failed: {exc}"
+                else:
+                    built = rep.total
+                    # the corners of the built ideal, read off its Betti table
+                    got = corners_from_table(graded_betti(ideal))
+                    corners_ok = got.corners == tuple(
+                        (n - t * (l - 1) - 1, l)
+                        for l in range(ell1, ell1 + built)
+                    ) and all(v == 1 for v in got.values)
+                ok = built == formula and corners_ok
                 if not cell.partial:
                     ok = ok and cell.value == formula
                     if not partial:  # (b) walked the ideals the search counted
@@ -607,6 +697,6 @@ def cross_validate(
                     "check": "max-corners", "n": n, "t": t, "ell1": ell1,
                     "brute": cell.value, "formula": formula, "built": built,
                     "partial": cell.partial, "ok": ok,
-                    "detail": "" if ok else "disagreement",
+                    "detail": "" if ok else detail,
                 })
     return report

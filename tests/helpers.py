@@ -78,6 +78,19 @@ def brute_force_spread(n, d, t):
             if all(b - a >= t for a, b in zip(u, u[1:]))]
 
 
+def literal_shadow(monomials, ctx):
+    """Shad_t(T) from its definition: every product x_i * w with w in T that
+    is squarefree and t-spread, slex-descending."""
+    t = ctx.spread_t
+    out = set()
+    for w in monomials:
+        for i in range(1, ctx.n_vars + 1):
+            grown = tuple(sorted(set(w) | {i}))
+            if len(grown) > len(w) and all(b - a >= t for a, b in zip(grown, grown[1:])):
+                out.add(grown)
+    return sorted(out)
+
+
 @lru_cache(maxsize=None)
 def _spread_basis(n, d, t):
     return tuple(brute_force_spread(n, d, t))

@@ -178,9 +178,23 @@ class TestTable:
 
     def test_partial_budget_exits_4(self, capsys):
         code, out, _ = run_cli(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
-                                "--brute-force-upto", "9", "--max-ideals", "10"],
+                                "--brute-force-upto", "9", "--max-states", "10"],
                                capsys)
         assert code == 4
+
+    def test_ideal_budget_does_not_stop_the_search(self, capsys):
+        # the search counts ideals without walking them
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
+                                "--brute-force-upto", "9", "--max-ideals", "10",
+                                "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "2,9,2,3,brute-force"
+
+    def test_brute_force_below_initial_degree_two_exits_3(self, capsys):
+        code, out, err = run_cli(["table", "-t", "2", "--n", "5:5", "--l", "0:1",
+                                  "--brute-force-upto", "5"], capsys)
+        assert code == 3 and out == ""
+        assert "initial degree 0" in err
 
     def test_bad_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +215,13 @@ class TestValidate:
         code, _, _ = run_cli(["validate", "--n", "9:9", "--t", "2:2",
                               "--l", "2:2", "--max-ideals", "5"], capsys)
         assert code == 4
+
+    def test_state_budget_exits_4(self, capsys):
+        code, out, _ = run_cli(["validate", "--n", "9:9", "--t", "2:2",
+                                "--l", "2:2", "--max-states", "10"], capsys)
+        assert code == 4
+        cell = [json.loads(line) for line in out.splitlines()][-1]
+        assert cell["check"] == "max-corners" and cell["partial"]
 
     def test_initial_degree_below_two_exits_3(self, capsys):
         code, out, err = run_cli(["validate", "--n", "5:5", "--t", "2:2",

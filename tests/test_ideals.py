@@ -24,8 +24,9 @@ from tspread.ideals import generator_move_violation, iterated_shadow
 from tspread.oracle import max_spread_degree
 
 
-from helpers import (bfs_borel_ideal, bfs_closure, domination_closure,
-                     find_stability_violation)
+from helpers import (bfs_borel_ideal, bfs_closure, brute_force_spread,
+                     domination_closure, find_stability_violation,
+                     literal_shadow)
 
 
 def spread_contexts(max_n=9, max_t=3):
@@ -138,6 +139,20 @@ class TestShadow:
                     everything = spread_monomials(ctx, d)
                     grown = spread_monomials(ctx, d + 1)
                     assert shadow(everything, ctx) == grown
+
+    def test_matches_literal_definition(self):
+        # every single monomial, t-spread or not, and every slex interval,
+        # for t = 1..3 and n <= 10
+        for t in (1, 2, 3):
+            for n in range(1, 11):
+                ctx = Context(n, t)
+                for d in range(0, 5):
+                    raw = brute_force_spread(n, d, 1)
+                    for w in raw:
+                        assert shadow([w], ctx) == literal_shadow([w], ctx), (w, t)
+                    for a in range(0, len(raw), 3):
+                        chunk = raw[a:a + 5]
+                        assert shadow(chunk, ctx) == literal_shadow(chunk, ctx)
 
     def test_iterated_shadow_base_case(self):
         ctx = Context(9, 2)

@@ -7,7 +7,9 @@ import pytest
 
 from tspread import (
     BudgetExceededError,
+    ConstructionInapplicableError,
     Context,
+    InvariantViolationError,
     SearchBudget,
     borel_ideal,
     brute_force_max_corners,
@@ -19,7 +21,7 @@ from tspread import (
     table_csv,
     table_markdown,
 )
-from tspread import ideals, oracle
+from tspread import construction, ideals, oracle
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.oracle import enumerate_borel_closed, max_spread_degree
 
@@ -179,7 +181,7 @@ class TestBruteForceMaxCorners:
         assert brute_force_max_corners(Context(5, 2), 3).unconstrained == 1
 
     def test_partial_flag_with_tiny_budget(self):
-        cell = brute_force_max_corners(Context(9, 2), 2, SearchBudget(max_ideals=20))
+        cell = brute_force_max_corners(Context(9, 2), 2, SearchBudget(max_states=20))
         assert cell.partial
         assert cell.value is None or cell.value <= 3
 
@@ -267,6 +269,27 @@ class TestCornerSearch:
         assert front == ((-1, 0), (5, 2))
         assert dict(unit) == {-1: 0, 7: 1, 5: 1}
 
+    @pytest.mark.parametrize("frontier", [0, oracle._FRONTIER, 10**6])
+    @pytest.mark.parametrize("n,t,ell1", [(8, 2, 2), (9, 2, 3), (11, 3, 2)])
+    def test_groups_match_listed_down_sets(self, monkeypatch, n, t, ell1, frontier):
+        # frontier 0 lists every down-set, and a frontier above the layer
+        # size reads every state from one family
+        monkeypatch.setattr(oracle, "_FRONTIER", frontier)
+        budget = SearchBudget()
+        layers = oracle._layers(Context(n, t), ell1, budget)
+        search = oracle._CornerSearch(layers, budget)
+        search.solve(0, 0)
+        states = 0
+        for li, memo in enumerate(search.memo):
+            for required in memo:
+                want = {}
+                for _, shadow, mm, cnt in oracle._down_sets(layers[li], required):
+                    key = (shadow, mm, cnt == 1)
+                    want[key] = want.get(key, 0) + 1
+                assert search.groups(li, required) == want, (li, required)
+                states += 1
+        assert states > 10
+
     def test_matches_walk_on_every_desk_cell(self):
         cells = 0
         for t, n_hi in ((1, 7), (2, 9), (3, 11)):
@@ -288,6 +311,8 @@ class TestCornerSearch:
         (10, 2, 2, 60_249, 3),
         (12, 3, 2, 28_227, 3),
         (11, 2, 3, 1_831_833, 3),
+        (12, 2, 4, 8_171_672, 3),
+        (14, 3, 2, 15_957_016, 3),
     ])
     def test_exact_ideal_counts(self, n, t, ell1, ideals, value):
         cell = brute_force_max_corners(Context(n, t), ell1)
@@ -304,13 +329,21 @@ class TestCornerSearch:
         assert cell.partial
 
     def test_ideal_budget_is_exact(self):
-        exact = brute_force_max_corners(Context(10, 2), 2)
-        capped = brute_force_max_corners(
-            Context(10, 2), 2, SearchBudget(max_ideals=exact.ideals - 1))
-        assert capped.partial
-        at_cap = brute_force_max_corners(
-            Context(10, 2), 2, SearchBudget(max_ideals=exact.ideals))
-        assert not at_cap.partial and at_cap.ideals == exact.ideals
+        # max_ideals stops the walk one ideal short of the total; the
+        # search counts the ideals without walking them and ignores it
+        ctx = Context(9, 2)
+        exact = brute_force_max_corners(ctx, 2)
+        capped = SearchBudget(max_ideals=exact.ideals - 1)
+        walked = 0
+        with pytest.raises(BudgetExceededError):
+            for _ in enumerate_strongly_stable_ideals(ctx, 2, capped):
+                walked += 1
+        assert walked == exact.ideals - 1
+        at_cap = SearchBudget(max_ideals=exact.ideals)
+        assert len(list(enumerate_strongly_stable_ideals(ctx, 2, at_cap))) == exact.ideals
+        cell = brute_force_max_corners(ctx, 2, SearchBudget(max_ideals=1))
+        assert not cell.partial
+        assert (cell.ideals, cell.value) == (exact.ideals, exact.value)
 
     def test_oversized_layers_refused_before_building(self, monkeypatch):
         # 2^32 monomials in all degrees: refused from spread_count alone
@@ -318,6 +351,26 @@ class TestCornerSearch:
         cell = brute_force_max_corners(Context(32, 1), 1)
         assert cell.partial
         assert cell.value is None and cell.ideals == 0
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_mask_bits_refused_before_building(self, monkeypatch, n):
+        # 65,535 and 1,048,575 monomials, under max_states, but masks of
+        # about 1.2e9 and 2.7e11 bits
+        monkeypatch.setattr(oracle, "_Layer", _no_layer)
+        with pytest.raises(BudgetExceededError, match="bits"):
+            oracle._layers(Context(n, 1), 1, SearchBudget())
+        cell = brute_force_max_corners(Context(n, 1), 1)
+        assert cell.partial
+        assert cell.value is None and cell.ideals == 0
+
+    def test_mask_bits_at_the_cap_are_built(self):
+        # degrees 1..6 of 6 variables hold 6, 15, 20, 15, 6 and 1 monomials:
+        # 6*21 + 15*35 + 20*35 + 15*21 + 6*7 + 1*1 = 1,709 bits, and
+        # 8 * 214 = 1,712 >= 1,709 > 1,704 = 8 * 213
+        layers = oracle._layers(Context(6, 1), 1, SearchBudget(max_states=214))
+        assert [layer.size for layer in layers] == [6, 15, 20, 15, 6, 1]
+        with pytest.raises(BudgetExceededError):
+            oracle._layers(Context(6, 1), 1, SearchBudget(max_states=213))
 
     def test_budget_caps_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -337,6 +390,14 @@ class TestRegenerateTable:
     def test_dashes(self):
         cells = regenerate_table(3, (4, 7), (3, 3))
         assert [c.value for c in cells] == [None] * 4
+
+    def test_brute_force_below_initial_degree_two_is_refused(self):
+        with pytest.raises(ConstructionInapplicableError):
+            regenerate_table(2, (5, 5), (0, 1), brute_force_upto=5)
+        # formula cells alone are dashes, as before
+        assert [c.value for c in regenerate_table(2, (5, 5), (0, 1))] == [None, None]
+        cells = regenerate_table(2, (6, 6), (1, 2), brute_force_upto=5)
+        assert [c.provenance for c in cells] == ["formula", "formula"]
 
     def test_brute_force_provenance(self):
         cells = regenerate_table(2, (4, 6), (2, 3), brute_force_upto=5)
@@ -403,6 +464,33 @@ class TestCrossValidate:
                             lambda u, ctx: closure(u, ctx)[1:])
         report = cross_validate((5, 5), (2, 2), (2, 2))
         assert [r["check"] for r in report.disagreements] == ["closure-domination"]
+
+    def test_wrong_constructed_corners_are_reported(self, monkeypatch):
+        # check (c) reads the corners off the Betti table of the built ideal,
+        # so an ideal that misses a witness is caught although the report
+        # still predicts every corner
+        build = construction.construct_extremal_ideal
+
+        def short(n, t, ell1):
+            ideal, rep = build(n, t, ell1)
+            return borel_ideal(rep.omegas[:-1], rep.ctx), rep
+
+        monkeypatch.setattr(construction, "construct_extremal_ideal", short)
+        report = cross_validate((8, 8), (2, 2), (2, 2))
+        [bad] = report.disagreements
+        assert bad["check"] == "max-corners"
+        assert (bad["brute"], bad["formula"], bad["built"]) == (2, 2, 2)
+
+    def test_failed_construction_is_a_record(self, monkeypatch):
+        def failing(n, t, ell1):
+            raise InvariantViolationError("corner verification failed")
+
+        monkeypatch.setattr(construction, "construct_extremal_ideal", failing)
+        report = cross_validate((8, 8), (2, 2), (2, 3))
+        assert [r["check"] for r in report.disagreements] == ["max-corners"] * 2
+        for record in report.disagreements:
+            assert record["built"] is None
+            assert "corner verification failed" in record["detail"]
 
     def test_partial_budget_marks_report(self):
         report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_ideals=5))
