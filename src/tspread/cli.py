@@ -62,7 +62,7 @@ def _budget_from(args) -> SearchBudget:
         env = os.environ.get("TSPREAD_BUDGET_SECONDS")
         seconds = float(env) if env else None
     kwargs = {"timeout": seconds}
-    if args.max_ideals is not None:
+    if getattr(args, "max_ideals", None) is not None:  # validate only
         kwargs["max_ideals"] = args.max_ideals
     if args.max_states is not None:
         kwargs["max_states"] = args.max_states
@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-force-upto", type=int, default=0, metavar="N",
                    help="verify cells with n <= N by exhaustive enumeration")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--max-ideals", type=int, default=None,
-                   help="cap on the ideals walked one by one")
     p.add_argument("--max-states", type=int, default=None,
                    help="cap on the work of the max-corner search")
     p.add_argument("--format", choices=["text", "json", "markdown", "csv"],

@@ -42,12 +42,14 @@ class SearchBudget:
     search with a partial-result marker rather than a silent wrong answer.
 
     ``max_states`` caps the work of the max-corner search: the search nodes
-    it visits plus the family entries it builds, which also bounds what it
-    holds in memory.  Before any layer is built, layers whose masks would
-    need more than ``8 * max_states`` bits are refused.  ``max_ideals``
+    it visits plus the family entries it builds.  It counts entries, not
+    bytes; an entry holds a shadow mask as wide as the next layer.  Before
+    any layer is built, layers whose masks would need more than
+    ``8 * max_states`` bits are refused.  ``max_ideals``
     caps the ideals and down-sets walked one at a time; the max-corner
     search counts ideals without walking them, so it ignores this cap.
-    ``timeout`` is in wall-clock seconds.
+    ``timeout`` is in wall-clock seconds; the search checks it every few
+    thousand nodes and at every family it builds.
     """
 
     max_n: int = 32
@@ -114,22 +116,28 @@ class _Layer:
         return out
 
 
-def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
-    """The layers of degree l1 up to the top degree, each linked to the next.
-
-    Raises BudgetExceededError, before building anything, when the masks
+def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
+    """Refuse layers of the given sizes, each above the next, whose masks
     would hold more than ``8 * budget.max_states`` bits: a layer of a
     monomials above one of b holds a up-sets and a shadows, a * (a + b)
-    bits, so the masks grow with the square of the layer sizes.
-    """
-    top = max_spread_degree(ctx.n_vars, ctx.spread_t)
-    sizes = [spread_count(ctx.n_vars, d, ctx.spread_t) for d in range(ell1, top + 1)]
+    bits, so the masks grow with the square of the layer sizes."""
     bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
     if bits > 8 * budget.max_states:
         raise BudgetExceededError(
-            f"the masks of degrees {ell1}..{top} need {bits} bits, over "
-            f"8 times the state budget {budget.max_states}"
+            f"the masks need {bits} bits, over 8 times the state budget "
+            f"{budget.max_states}"
         )
+
+
+def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
+    """The layers of degree l1 up to the top degree, each linked to the next.
+
+    Raises BudgetExceededError, before building anything, when their masks
+    are too large for :func:`_check_mask_bits`.
+    """
+    top = max_spread_degree(ctx.n_vars, ctx.spread_t)
+    _check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)
+                      for d in range(ell1, top + 1)], budget)
     layers = [_Layer(ctx, d) for d in range(ell1, top + 1)]
     for a in range(len(layers) - 1):
         layers[a].link(layers[a + 1])
@@ -146,14 +154,15 @@ def _union(masks: list[int], bits: int) -> int:
     return out
 
 
-def _down_sets(layer: _Layer, required: int = 0):
+def _down_sets(layer: _Layer, required: int = 0, frontier: int = 0):
     """Every down-set D of the move order that contains ``required``.
 
-    Yields ``(gens, shadow, mm, cnt)``: the bitmask of D minus ``required``
-    (the new generators), the shadow of D in the next layer, the largest
-    last index among the new generators (-1 if there are none) and how many
-    of them attain it.  ``required`` must itself be a down-set, which every
-    shadow is.
+    Yields ``(gens, shadow, mm, cnt, free)``: the bitmask of D minus
+    ``required`` (the new generators), the shadow of D in the next layer,
+    the largest last index among the new generators (-1 if there are none),
+    how many of them attain it, and the elements left undecided, none
+    unless ``frontier`` is set.  ``required`` must itself be a down-set,
+    which every shadow is.
 
     Elements are indexed slex-descending, a linear extension of the move
     order, and the search decides them lowest index first.  Excluding an
@@ -161,7 +170,10 @@ def _down_sets(layer: _Layer, required: int = 0):
     element always has all its predecessors in D and both branches are
     legal: the search tree has exactly one leaf per down-set, and the
     shadow and the (mm, cnt) pair are carried down it incrementally.  The
-    exclude branch is taken first.
+    exclude branch is taken first.  With ``frontier`` the search stops at
+    the nodes where at most that many elements are undecided and yields
+    them instead; their down-sets are those of D plus a down-set of
+    ``free``.
     """
     up, link, maxval = layer.up, layer.shadow, layer.maxval
     free = ((1 << layer.size) - 1) & ~required
@@ -169,7 +181,7 @@ def _down_sets(layer: _Layer, required: int = 0):
     pop, push = stack.pop, stack.append
     while stack:
         free, gens, shadow, mm, cnt = pop()
-        while free:
+        while free.bit_count() > frontier:
             low = free & -free
             p = low.bit_length() - 1
             v = maxval[p]
@@ -179,26 +191,23 @@ def _down_sets(layer: _Layer, required: int = 0):
                 push((free ^ low, gens | low, shadow | link[p], mm,
                       cnt + 1 if v == mm else cnt))
             free &= ~up[p]
-        yield gens, shadow, mm, cnt
+        yield gens, shadow, mm, cnt, free
 
 
 def enumerate_borel_closed(ctx: Context, d: int, budget: SearchBudget | None = None) -> list[list[Monomial]]:
     """All subsets of M_{n,d,t} closed under the admissible moves.
 
     Includes the empty set and the full set.  Raises BudgetExceededError if
-    the count passes ``budget.max_ideals``, or up front if the degree holds
-    more than ``budget.max_states`` monomials.
+    the count passes ``budget.max_ideals``, or up front if the up-sets of
+    the degree are too large for :func:`_check_mask_bits`.
     """
     budget = budget or SearchBudget()
     if ctx.n_vars > budget.max_n:
         raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
-    if spread_count(ctx.n_vars, d, ctx.spread_t) > budget.max_states:
-        raise BudgetExceededError(
-            f"degree {d} exceeds the state budget {budget.max_states}"
-        )
+    _check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)], budget)
     layer = _Layer(ctx, d)
     out = []
-    for gens, _, _, _ in _down_sets(layer):
+    for gens, _, _, _, _ in _down_sets(layer):
         if len(out) >= budget.max_ideals:
             raise BudgetExceededError(
                 f"more than {budget.max_ideals} Borel-closed sets in degree {d}"
@@ -231,7 +240,7 @@ def _walk_chains(layers: list[_Layer], budget: SearchBudget):
     def rec(li: int, required: int, chain: list):
         nonlocal count
         layer = layers[li]
-        for gens, shadow, _, _ in _down_sets(layer, required):
+        for gens, shadow, _, _, _ in _down_sets(layer, required):
             if li == 0 and gens == 0:
                 continue
             link = chain + [(layer.d, gens, layer)] if gens else chain
@@ -273,6 +282,9 @@ _TOP = (1, ((-1, 0),), ((-1, 0),))
 # free sets of at most this many elements take their down-sets from a shared
 # family; memoising larger ones saves little time and costs memory
 _FRONTIER = 12
+
+# search nodes between two budget and deadline checks
+_CHECK_EVERY = 4096
 
 
 class _CornerSearch:
@@ -317,44 +329,34 @@ class _CornerSearch:
             raise BudgetExceededError(
                 f"state budget {self.budget.max_states} exhausted"
             )
+        _check_deadline(self.deadline, self.budget)
 
     def groups(self, li: int, required: int) -> dict:
         """Down-sets of layer ``li`` containing ``required``, counted per
         (shadow, mm, cnt == 1).
 
-        The lowest-first search of :func:`_down_sets` runs only until at
-        most ``_FRONTIER`` elements are free.  Equal nodes at that depth are
-        merged with multiplicities, and the down-sets below each are read
-        from :meth:`_family`, memoised per layer.  Layer 0 has the one state
-        ``required == 0``, so its families are dropped after it.
+        :func:`_down_sets` runs only until at most ``_FRONTIER`` elements
+        are free.  Equal nodes at that depth are merged with multiplicities,
+        and the down-sets below each are read from :meth:`_family`,
+        memoised per layer.  Layer 0 has the one state ``required == 0``,
+        so its families are dropped after it.  The nodes are charged to
+        ``max_states`` in batches of at most ``_CHECK_EVERY``, which ends
+        at the cap exactly.
         """
-        _check_deadline(self.deadline, self.budget)
         layer = self.layers[li]
         families = self.families[li] if li else {}
-        up, link, maxval = layer.up, layer.shadow, layer.maxval
-        left = self.budget.max_states - self.visited
-        nodes = 0
+        nodes = charged = mark = 0
         leaves: dict[tuple[int, int, int, bool], int] = {}
-        free = ((1 << layer.size) - 1) & ~required
-        stack = [(free, _union(link, required), -1, False)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            free, shadow, mm, one = pop()
-            while free.bit_count() > _FRONTIER:
-                low = free & -free
-                p = low.bit_length() - 1
-                v = maxval[p]
-                if v > mm:
-                    push((free ^ low, shadow | link[p], v, True))
-                else:
-                    push((free ^ low, shadow | link[p], mm, one and v < mm))
-                free &= ~up[p]
+        for _, shadow, mm, cnt, free in _down_sets(layer, required, _FRONTIER):
             nodes += 1
-            if nodes > left:
-                self._spend(nodes)  # raises
-            leaf = (free, shadow, mm, one)
+            if nodes > mark:
+                self._spend(nodes - charged)
+                charged = nodes
+                mark = nodes + min(self.budget.max_states - self.visited,
+                                   _CHECK_EVERY)
+            leaf = (free, shadow, mm, cnt == 1)
             leaves[leaf] = leaves.get(leaf, 0) + 1
-        self._spend(nodes)
+        self._spend(nodes - charged)
         groups: dict[tuple[int, int, bool], int] = {}
         for (free, shadow, mm, one), mult in leaves.items():
             family = self._family(families, layer, free)

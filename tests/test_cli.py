@@ -182,14 +182,6 @@ class TestTable:
                                capsys)
         assert code == 4
 
-    def test_ideal_budget_does_not_stop_the_search(self, capsys):
-        # the search counts ideals without walking them
-        code, out, _ = run_cli(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
-                                "--brute-force-upto", "9", "--max-ideals", "10",
-                                "--format", "csv"], capsys)
-        assert code == 0
-        assert out.splitlines()[1] == "2,9,2,3,brute-force"
-
     def test_brute_force_below_initial_degree_two_exits_3(self, capsys):
         code, out, err = run_cli(["table", "-t", "2", "--n", "5:5", "--l", "0:1",
                                   "--brute-force-upto", "5"], capsys)

@@ -97,6 +97,9 @@ class TestEnumerateBorelClosed:
         monkeypatch.setattr(oracle, "_Layer", _no_layer)
         with pytest.raises(BudgetExceededError):
             enumerate_borel_closed(Context(32, 1), 16)
+        # 184,756 monomials, under max_states, but about 3.4e10 mask bits
+        with pytest.raises(BudgetExceededError, match="bits"):
+            enumerate_borel_closed(Context(20, 1), 10)
 
 
 class TestEnumerateIdeals:
@@ -212,7 +215,7 @@ def _completions(layers, li, required):
         return
     layer = layers[li]
     t = layer.ctx.spread_t
-    for gens, shadow, _, _ in oracle._down_sets(layer, required):
+    for gens, shadow, _, _, _ in oracle._down_sets(layer, required):
         lasts = [layer.maxval[p] for p in range(layer.size) if gens >> p & 1]
         for b, r, unit in _completions(layers, li + 1, shadow):
             if lasts:
@@ -283,7 +286,7 @@ class TestCornerSearch:
         for li, memo in enumerate(search.memo):
             for required in memo:
                 want = {}
-                for _, shadow, mm, cnt in oracle._down_sets(layers[li], required):
+                for _, shadow, mm, cnt, _ in oracle._down_sets(layers[li], required):
                     key = (shadow, mm, cnt == 1)
                     want[key] = want.get(key, 0) + 1
                 assert search.groups(li, required) == want, (li, required)
@@ -324,9 +327,41 @@ class TestCornerSearch:
         assert cell.partial
         assert cell.value is None or cell.value <= 3
 
+    @pytest.mark.parametrize("n,t,ell1", [(10, 2, 2), (12, 3, 2)])
+    def test_state_budget_ends_at_the_work_done(self, monkeypatch, n, t, ell1):
+        # nodes are charged in batches, and neither the work counted nor
+        # the cap depends on the batch size
+        def work():
+            layers = oracle._layers(Context(n, t), ell1, SearchBudget())
+            search = oracle._CornerSearch(layers, SearchBudget())
+            for shadow, mm, _ in search.groups(0, 0):
+                if mm >= 0:
+                    search.solve(1, shadow)
+            return search.visited
+
+        done = work()
+        monkeypatch.setattr(oracle, "_CHECK_EVERY", 7)
+        assert work() == done
+        exact = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done))
+        assert not exact.partial
+        capped = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done - 1))
+        assert capped.partial
+
     def test_timeout(self):
         cell = brute_force_max_corners(Context(10, 2), 2, SearchBudget(timeout=0.0))
         assert cell.partial
+
+    def test_timeout_within_one_layer(self, monkeypatch):
+        # a clock that ticks once per reading: the deadline passes on the
+        # third reading after the start, inside the single state of layer l1
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(oracle, "time",
+                            SimpleNamespace(monotonic=lambda: next(ticks)))
+        budget = SearchBudget(timeout=2.5)
+        search = oracle._CornerSearch(oracle._layers(Context(12, 2), 2, budget), budget)
+        with pytest.raises(BudgetExceededError, match="timeout"):
+            search.groups(0, 0)
+        assert next(ticks) == 4
 
     def test_ideal_budget_is_exact(self):
         # max_ideals stops the walk one ideal short of the total; the
