@@ -137,7 +137,7 @@ def cmd_construct(args) -> int:
     ideal, report = construct_extremal_ideal(args.n, args.t, args.l)
     if args.format == "json":
         payload = json.loads(report.to_json())
-        payload["gens"] = [list(u) for u in ideal.all_generators()]
+        payload["gens"] = ideal.all_generators()
         print(json.dumps(payload))
         return EXIT_OK
     d, k = report.decomp.d, report.decomp.k

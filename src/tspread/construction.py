@@ -25,14 +25,9 @@ import json
 from dataclasses import dataclass
 
 from .betti import CornerSequence
-from .errors import (
-    ConstructionInapplicableError,
-    InvalidMonomialError,
-    InvariantViolationError,
-    NotTSpreadError,
-)
+from .errors import ConstructionInapplicableError, InvariantViolationError
 from .ideals import SpreadIdeal, _dominated, borel_ideal
-from .monomials import Context, Monomial, format_monomial, is_t_spread
+from .monomials import Context, Monomial, is_t_spread
 
 
 @dataclass(frozen=True)
@@ -51,31 +46,6 @@ def decompose(n: int, t: int) -> Decomposition:
         raise ValueError(f"n must be >= 1, got {n}")
     d = (n - 1) % t + 1
     return Decomposition(d, (n - d) // t)
-
-
-def slex_successor_with_max_n(u: Monomial, ctx: Context) -> Monomial | None:
-    """Largest t-spread v of the same degree with max(v) = n and u > v in slex.
-
-    Returns None when u is already the smallest such monomial (all gaps
-    exactly t), in which case B_t(u) is the t-spread Veronese ideal of its
-    degree.  Otherwise, with p the last position whose gap exceeds t, the
-    successor keeps u up to position p-1, bumps position p by one, continues
-    in steps of t, and ends at n.
-    """
-    n, t = ctx.n_vars, ctx.spread_t
-    if not is_t_spread(u, ctx):
-        raise NotTSpreadError(f"{format_monomial(u)} is not {t}-spread")
-    if not u or u[-1] != n:
-        raise InvalidMonomialError(f"max({format_monomial(u)}) != {n}")
-    d = len(u)
-    wide = [a for a in range(d - 1) if u[a + 1] - u[a] > t]
-    if not wide:
-        return None
-    p = wide[-1]
-    v = u[:p] + tuple(u[p] + 1 + m * t for m in range(d - 1 - p)) + (n,)
-    if not is_t_spread(v, ctx):
-        raise InvariantViolationError(f"successor of {u} is not t-spread: {v}")
-    return v
 
 
 def j_max(n: int, t: int, ell1: int = 2) -> int:

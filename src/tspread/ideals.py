@@ -24,11 +24,6 @@ from .monomials import (
 )
 
 
-def divides(u: Monomial, v: Monomial) -> bool:
-    """True iff the squarefree monomial u divides v (index-set inclusion)."""
-    return set(u) <= set(v)
-
-
 def _require_t_spread(u: Monomial, ctx: Context) -> None:
     if not is_t_spread(u, ctx):
         raise NotTSpreadError(f"{format_monomial(u)} is not {ctx.spread_t}-spread")
@@ -80,14 +75,15 @@ class SpreadIdeal:
 
     def contains(self, u: Monomial) -> bool:
         """Membership of a monomial: some minimal generator divides it."""
-        return any(divides(g, u) for d, gs in self.gens.items() if d <= len(u)
-                   for g in gs)
+        trie: dict = {}
+        _trie_add(trie, self.all_generators())
+        return _divisible(trie, u)
 
     def to_json(self) -> str:
         payload = {
             "n": self.ctx.n_vars,
             "t": self.ctx.spread_t,
-            "gens": [list(u) for u in self.all_generators()],
+            "gens": self.all_generators(),  # json writes tuples as arrays
         }
         return json.dumps(payload)
 
@@ -99,18 +95,55 @@ class SpreadIdeal:
         return cls.from_generators(ctx, gens)
 
 
+_END = 0  # trie key that names no variable: a monomial ends at this node
+
+
+def _trie_add(trie: dict, monomials) -> None:
+    """Insert monomials into a prefix trie, one dict per index."""
+    for u in monomials:
+        node = trie
+        for a in u:
+            node = node.setdefault(a, {})
+        node[_END] = True
+
+
+def _divisible(trie: dict, u: Monomial) -> bool:
+    """True iff some monomial of ``trie`` divides the squarefree u.
+
+    A divisor is a subsequence of u, so a depth-first walk that tries at
+    each node only the indices of u after the last one it used reaches the
+    divisor's end mark; every index of u missing from a node is skipped, not
+    a dead end.
+    """
+    stack = [(trie, 0)]
+    while stack:
+        node, start = stack.pop()
+        if _END in node:
+            return True
+        for p in range(start, len(u)):
+            child = node.get(u[p])
+            if child is not None:
+                stack.append((child, p + 1))
+    return False
+
+
 def _minimalize(monomials) -> dict[int, tuple[Monomial, ...]]:
-    """Drop duplicates and anything divisible by another generator."""
+    """Drop duplicates and anything divisible by another generator.
+
+    Degrees are filtered in ascending order against a trie of the survivors
+    of lower degrees; a degree's survivors join it only once the whole
+    degree is filtered, so no monomial is tested against itself.
+    """
     by_degree: dict[int, set[Monomial]] = {}
     for u in monomials:
         by_degree.setdefault(len(u), set()).add(u)
-    kept: list[Monomial] = []
+    trie: dict = {}
     out: dict[int, tuple[Monomial, ...]] = {}
     for d in sorted(by_degree):
-        level = [u for u in by_degree[d] if not any(divides(g, u) for g in kept)]
+        level = [u for u in by_degree[d] if not _divisible(trie, u)]
         if level:
             out[d] = tuple(slex_sorted(level))
-            kept.extend(level)
+            _trie_add(trie, level)
     return out
 
 
@@ -208,16 +241,6 @@ def shadow(monomial_set, ctx: Context) -> list[Monomial]:
             for i in range(bounds[p] + t, bounds[p + 1] - t + 1):
                 out.add(w[:p] + (i,) + w[p:])
     return slex_sorted(out)
-
-
-def iterated_shadow(monomial_set, ctx: Context, m: int) -> list[Monomial]:
-    """m-fold shadow; m = 1 is shadow() itself."""
-    if m < 1:
-        raise ValueError(f"shadow iteration count must be >= 1, got {m}")
-    current = list(monomial_set)
-    for _ in range(m):
-        current = shadow(current, ctx)
-    return current
 
 
 def generator_move_violation(ideal: SpreadIdeal):

@@ -117,16 +117,6 @@ def max_index(u: Monomial) -> int:
     return u[-1] if u else 0
 
 
-def min_index(u: Monomial) -> int:
-    """min(u); 0 for the monomial 1."""
-    return u[0] if u else 0
-
-
-def support(u: Monomial) -> set[int]:
-    """The set of variable indices dividing u."""
-    return set(u)
-
-
 def format_monomial(u: Monomial) -> str:
     """Render as ``x2*x5*x14``; the monomial 1 renders as ``1``."""
     return "*".join(f"x{i}" for i in u) if u else "1"

@@ -194,28 +194,6 @@ def _down_sets(layer: _Layer, required: int = 0, frontier: int = 0):
         yield gens, shadow, mm, cnt, free
 
 
-def enumerate_borel_closed(ctx: Context, d: int, budget: SearchBudget | None = None) -> list[list[Monomial]]:
-    """All subsets of M_{n,d,t} closed under the admissible moves.
-
-    Includes the empty set and the full set.  Raises BudgetExceededError if
-    the count passes ``budget.max_ideals``, or up front if the up-sets of
-    the degree are too large for :func:`_check_mask_bits`.
-    """
-    budget = budget or SearchBudget()
-    if ctx.n_vars > budget.max_n:
-        raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
-    _check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)], budget)
-    layer = _Layer(ctx, d)
-    out = []
-    for gens, _, _, _, _ in _down_sets(layer):
-        if len(out) >= budget.max_ideals:
-            raise BudgetExceededError(
-                f"more than {budget.max_ideals} Borel-closed sets in degree {d}"
-            )
-        out.append(layer.members(gens))
-    return out
-
-
 def _deadline(budget: SearchBudget) -> float | None:
     return None if budget.timeout is None else time.monotonic() + budget.timeout
 

@@ -1,21 +1,35 @@
-"""Shared test oracles and golden data.
+"""Shared test oracles, test-only utilities and golden data.
 
-Everything here is deliberately independent of the library's fast paths:
+The oracles are deliberately independent of the library's fast paths:
 subset filters, breadth-first closures over the moves, componentwise-
 domination closures, the basis-walk stability test, the one-ideal-at-a-time
-max-corner walk, and hand-transcribed golden values.
+max-corner walk, and hand-transcribed golden values.  The utilities are
+small functions only the tests need: index helpers, the slex successor with
+a fixed last index, the iterated shadow, and the Borel-closed sets of one
+degree listed by the library's down-set search.
 """
 
 from functools import lru_cache
 from itertools import combinations
 
 from tspread import (
+    BudgetExceededError,
     Context,
+    InvalidMonomialError,
+    InvariantViolationError,
+    NotTSpreadError,
+    SearchBudget,
     SpreadIdeal,
     borel_closure_degree,
     enumerate_strongly_stable_ideals,
+    format_monomial,
+    is_t_spread,
+    shadow,
+    slex_sorted,
+    spread_count,
     spread_monomials,
 )
+from tspread import oracle
 
 # Maximal corner counts for 2-spread ideals, rows = initial degree,
 # columns n = 4..20; None is a dash (no qualifying ideal).
@@ -257,3 +271,83 @@ def table_cells(table, t):
     for ell1, row in table.items():
         for n, value in zip(range(lo, hi + 1), row):
             yield n, t, ell1, value
+
+
+def pairwise_minimalize(monomials):
+    """Minimal generators by the literal pairwise subset filter: every
+    distinct input that no other distinct input divides, by degree and
+    slex-sorted, the layout of ``SpreadIdeal.gens``.  Desk scale only."""
+    distinct = set(monomials)
+    by_degree = {}
+    for u in distinct:
+        if not any(w != u and set(w) <= set(u) for w in distinct):
+            by_degree.setdefault(len(u), []).append(u)
+    return {d: tuple(slex_sorted(vs)) for d, vs in by_degree.items()}
+
+
+def min_index(u):
+    """min(u); 0 for the monomial 1."""
+    return u[0] if u else 0
+
+
+def support(u):
+    """The set of variable indices dividing u."""
+    return set(u)
+
+
+def slex_successor_with_max_n(u, ctx):
+    """Largest t-spread v of the same degree with max(v) = n and u > v in slex.
+
+    Returns None when u is already the smallest such monomial (all gaps
+    exactly t), in which case B_t(u) is the t-spread Veronese ideal of its
+    degree.  Otherwise, with p the last position whose gap exceeds t, the
+    successor keeps u up to position p-1, bumps position p by one, continues
+    in steps of t, and ends at n.
+    """
+    n, t = ctx.n_vars, ctx.spread_t
+    if not is_t_spread(u, ctx):
+        raise NotTSpreadError(f"{format_monomial(u)} is not {t}-spread")
+    if not u or u[-1] != n:
+        raise InvalidMonomialError(f"max({format_monomial(u)}) != {n}")
+    d = len(u)
+    wide = [a for a in range(d - 1) if u[a + 1] - u[a] > t]
+    if not wide:
+        return None
+    p = wide[-1]
+    v = u[:p] + tuple(u[p] + 1 + m * t for m in range(d - 1 - p)) + (n,)
+    if not is_t_spread(v, ctx):
+        raise InvariantViolationError(f"successor of {u} is not t-spread: {v}")
+    return v
+
+
+def iterated_shadow(monomial_set, ctx, m):
+    """m-fold shadow; m = 1 is shadow() itself."""
+    if m < 1:
+        raise ValueError(f"shadow iteration count must be >= 1, got {m}")
+    current = list(monomial_set)
+    for _ in range(m):
+        current = shadow(current, ctx)
+    return current
+
+
+def enumerate_borel_closed(ctx, d, budget=None):
+    """All subsets of M_{n,d,t} closed under the admissible moves, listed by
+    the oracle's down-set search over one layer.
+
+    Includes the empty set and the full set.  Raises BudgetExceededError if
+    the count passes ``budget.max_ideals``, or up front if the up-sets of
+    the degree are too large for ``oracle._check_mask_bits``.
+    """
+    budget = budget or SearchBudget()
+    if ctx.n_vars > budget.max_n:
+        raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
+    oracle._check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)], budget)
+    layer = oracle._Layer(ctx, d)
+    out = []
+    for gens, _, _, _, _ in oracle._down_sets(layer):
+        if len(out) >= budget.max_ideals:
+            raise BudgetExceededError(
+                f"more than {budget.max_ideals} Borel-closed sets in degree {d}"
+            )
+        out.append(layer.members(gens))
+    return out

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import tspread.cli
+from tspread import construct_extremal_ideal, graded_betti
 from tspread.cli import main
 
 GOLDEN_DIAGRAM = "\n".join([
@@ -154,6 +155,27 @@ class TestConstruct:
         code, _, err = run_cli(["construct", "-n", "3", "-t", "3", "-l", "2"],
                                capsys)
         assert code == 3 and "no construction" in err
+
+    @pytest.mark.parametrize("n,t", [(46, 3), (300, 2)])
+    def test_json_generators_written_as_arrays(self, capsys, n, t):
+        code, out, _ = run_cli(["construct", "-n", str(n), "-t", str(t),
+                                "--format", "json"], capsys)
+        ideal, report = construct_extremal_ideal(n, t, 2)
+        payload = json.loads(report.to_json())
+        payload["gens"] = [list(u) for u in ideal.all_generators()]
+        assert code == 0 and out == json.dumps(payload) + "\n"
+
+    def test_betti_of_saved_construction(self, capsys, tmp_path):
+        # 3,748 generators read back through the minimalization
+        path = tmp_path / "ideal.json"
+        code, out, _ = run_cli(["construct", "-n", "150", "-t", "2",
+                                "--format", "json"], capsys)
+        assert code == 0
+        path.write_text(out)
+        code, out, _ = run_cli(["betti", str(path), "--format", "json"], capsys)
+        ideal, _ = construct_extremal_ideal(150, 2, 2)
+        assert code == 0
+        assert json.loads(out)["betti"] == json.loads(graded_betti(ideal).to_json())
 
 
 class TestTable:

@@ -18,9 +18,10 @@ from tspread import (
     omega_claim_check,
     spread_monomials,
 )
-from tspread.construction import s_value, slex_successor_with_max_n
+from tspread.construction import s_value
 
-from helpers import OMEGAS_46_3, TABLE_T2, TABLE_T3, bfs_closure, table_cells
+from helpers import (OMEGAS_46_3, TABLE_T2, TABLE_T3, bfs_closure,
+                     slex_successor_with_max_n, table_cells)
 
 
 class TestDecompose:

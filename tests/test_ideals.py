@@ -13,6 +13,7 @@ from tspread import (
     SpreadIdeal,
     borel_closure_degree,
     borel_ideal,
+    construct_extremal_ideal,
     enumerate_strongly_stable_ideals,
     format_monomial,
     is_strongly_stable,
@@ -20,13 +21,13 @@ from tspread import (
     shadow,
     spread_monomials,
 )
-from tspread.ideals import generator_move_violation, iterated_shadow
+from tspread.ideals import generator_move_violation
 from tspread.oracle import max_spread_degree
 
 
 from helpers import (bfs_borel_ideal, bfs_closure, brute_force_spread,
                      domination_closure, find_stability_violation,
-                     literal_shadow)
+                     iterated_shadow, literal_shadow, pairwise_minimalize)
 
 
 def spread_contexts(max_n=9, max_t=3):
@@ -290,6 +291,21 @@ class TestJsonInterface:
             SpreadIdeal.from_json(text)
 
 
+class TestMinimalize:
+    def test_divisor_skips_indices_of_the_multiple(self):
+        # the walk must pass over x3, which no generator starting x1 holds
+        I = SpreadIdeal.from_generators(Context(9, 1), [(1, 3, 5), (1, 5)])
+        assert I.gens == {2: ((1, 5),)}
+        assert I.contains((1, 3, 5)) and I.contains((1, 2, 4, 5))
+        assert not I.contains((1, 3, 4))
+
+    def test_constructed_ideal_round_trips(self):
+        # 3,748 generators over five degrees
+        I, _ = construct_extremal_ideal(150, 2, 2)
+        assert sum(map(len, I.gens.values())) == 3748
+        assert SpreadIdeal.from_json(I.to_json()) == I
+
+
 @st.composite
 def spread_monomial_lists(draw):
     t = draw(st.integers(1, 3))
@@ -355,3 +371,30 @@ def test_borel_ideal_matches_bfs_oracle(case):
 def test_gate_agrees_with_basis_walk_on_random_generators(case):
     ctx, gens = case
     assert_gate_matches_basis_walk(SpreadIdeal.from_generators(ctx, gens))
+
+
+@st.composite
+def redundant_generator_lists(draw):
+    """t-spread lists over several degrees with duplicates, multiples of
+    other inputs, and a shuffled order."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 1, 12))
+    ctx = Context(n, t)
+    pool = [u for d in range(1, max_spread_degree(n, t) + 1)
+            for u in spread_monomials(ctx, d)]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    multiples = [v for v in pool if any(set(u) < set(v) for u in gens)]
+    if multiples:
+        gens += draw(st.lists(st.sampled_from(multiples), max_size=10))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=4))
+    return ctx, draw(st.permutations(gens))
+
+
+@given(redundant_generator_lists())
+@settings(max_examples=200, deadline=None)
+def test_from_generators_matches_pairwise_filter(case):
+    ctx, gens = case
+    I = SpreadIdeal.from_generators(ctx, gens)
+    assert I.gens == pairwise_minimalize(gens)
+    for u in gens:
+        assert I.contains(u)

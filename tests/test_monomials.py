@@ -19,10 +19,7 @@ from tspread import (
     spread_count,
     spread_monomials,
 )
-from tspread.monomials import min_index, support
-
-
-from helpers import brute_force_spread
+from helpers import brute_force_spread, min_index, support
 
 
 class TestContext:

@@ -23,9 +23,9 @@ from tspread import (
 )
 from tspread import construction, ideals, oracle
 from tspread.ideals import SpreadIdeal, generator_move_violation
-from tspread.oracle import enumerate_borel_closed, max_spread_degree
+from tspread.oracle import max_spread_degree
 
-from helpers import FLAG_COMBINATIONS, walk_max_corners
+from helpers import FLAG_COMBINATIONS, enumerate_borel_closed, walk_max_corners
 
 
 def subset_filter_closed_sets(ctx, d):
