@@ -33,6 +33,7 @@ from .errors import (
     BudgetExceededError,
     ConstructionInapplicableError,
     DegreeMismatchError,
+    IdealFormatError,
     InvalidMonomialError,
     InvariantViolationError,
     NotStronglyStableError,
@@ -82,6 +83,7 @@ __all__ = [
     "CrossValidationReport",
     "Decomposition",
     "DegreeMismatchError",
+    "IdealFormatError",
     "InvalidMonomialError",
     "InvariantViolationError",
     "Monomial",

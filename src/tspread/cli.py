@@ -16,25 +16,15 @@ import json
 import os
 import sys
 
-from .betti import (
-    corners_from_table,
-    graded_betti,
-    proj_dim,
-    regularity,
-    render_diagram,
-)
+from .betti import (corners_from_table, graded_betti, proj_dim, regularity,
+                    render_diagram)
 from .construction import construct_extremal_ideal
 from .errors import BudgetExceededError, TSpreadError
 from .ideals import SpreadIdeal, borel_ideal
 from .monomials import (Context, format_monomial, parse_monomial, spread_count,
                         spread_monomials)
-from .oracle import (
-    SearchBudget,
-    cross_validate,
-    regenerate_table,
-    table_csv,
-    table_markdown,
-)
+from .oracle import (SearchBudget, cross_validate, regenerate_table, table_csv,
+                     table_markdown)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,7 +61,7 @@ def _budget_from(args) -> SearchBudget:
 
 def _load_ideal(args) -> SpreadIdeal:
     if args.ideal_file:
-        with open(args.ideal_file, "r", encoding="utf-8") as fh:
+        with open(args.ideal_file, "rb") as fh:  # from_json rejects undecodable bytes
             ideal = SpreadIdeal.from_json(fh.read())
     else:
         if args.gens is None:

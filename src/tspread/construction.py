@@ -212,18 +212,9 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
         (n - t * (ell - 1) - 1, ell) for ell in range(ell1, ell1 + expected)
     )
     return ConstructionReport(
-        ctx=ctx,
-        ell1=ell1,
-        decomp=dec,
-        j_max=jm,
-        s=s,
-        nu_max=nm,
-        omegas=tuple(omegas),
-        predicted_corners=CornerSequence(corners, (1,) * expected),
-        total=expected,
-        regime="general" if k >= 3 else "small-k",
-        critic_index=critic_index,
-    )
+        ctx=ctx, ell1=ell1, decomp=dec, j_max=jm, s=s, nu_max=nm, omegas=tuple(omegas),
+        predicted_corners=CornerSequence(corners, (1,) * expected), total=expected,
+        regime="general" if k >= 3 else "small-k", critic_index=critic_index)
 
 
 def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, ConstructionReport]:

@@ -13,6 +13,10 @@ class NotTSpreadError(TSpreadError):
     """Monomial fails the t-spread gap condition."""
 
 
+class IdealFormatError(TSpreadError):
+    """Ideal JSON is not an object with int ``n``, ``t`` and index lists ``gens``."""
+
+
 class DegreeMismatchError(TSpreadError):
     """slex comparison of monomials of different degrees."""
 

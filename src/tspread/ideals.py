@@ -7,6 +7,10 @@ degree deg(u) are the t-spread monomials that u dominates componentwise, so
 every closure here is one prefix-domination search, :func:`_dominated`, which
 derives minimal generators degree by degree.  The literal breadth-first search
 over the moves x_i * (u / x_j) is an independent oracle in the test suite.
+
+Minimalization, :meth:`SpreadIdeal.contains` and the stability gate share one
+membership structure, a prefix trie of the generators; the gate tests each
+unit decrement of a generator by one walk along its own path in the trie.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidMonomialError, NotStronglyStableError, NotTSpreadError
+from .errors import (IdealFormatError, InvalidMonomialError, NotStronglyStableError,
+                     NotTSpreadError)
 from .monomials import (
     Context,
     Monomial,
@@ -66,9 +71,6 @@ class SpreadIdeal:
         """Smallest generator degree; 0 for the zero ideal."""
         return min(self.gens) if self.gens else 0
 
-    def max_gen_degree(self) -> int:
-        return max(self.gens) if self.gens else 0
-
     def all_generators(self) -> list[Monomial]:
         """Every minimal generator, ascending by degree then slex-descending."""
         return [u for d in sorted(self.gens) for u in self.gens[d]]
@@ -88,11 +90,19 @@ class SpreadIdeal:
         return json.dumps(payload)
 
     @classmethod
-    def from_json(cls, text: str) -> "SpreadIdeal":
-        data = json.loads(text)
-        ctx = Context(int(data["n"]), int(data["t"]))
-        gens = [tuple(int(i) for i in g) for g in data["gens"]]
-        return cls.from_generators(ctx, gens)
+    def from_json(cls, text: str | bytes) -> "SpreadIdeal":
+        """Parse ``{"n": n, "t": t, "gens": [[i, ...], ...]}`` with int entries;
+        anything else raises IdealFormatError."""
+        try:
+            data = json.loads(text)
+            n, t, gens = data["n"], data["t"], [tuple(g) for g in data["gens"]]
+        except KeyError as exc:
+            raise IdealFormatError(f"ideal JSON lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise IdealFormatError(f"malformed ideal JSON: {exc}") from None
+        if any(type(i) is not int for g in [(n, t), *gens] for i in g):
+            raise IdealFormatError("ideal JSON needs integer n, t and indices")
+        return cls.from_generators(Context(n, t), gens)
 
 
 _END = 0  # trie key that names no variable: a monomial ends at this node
@@ -246,9 +256,9 @@ def shadow(monomial_set, ctx: Context) -> list[Monomial]:
 def generator_move_violation(ideal: SpreadIdeal):
     """Strong-stability test: t-spread unit decrements of minimal generators.
 
-    Returns None if stable, else a witness ``(u, j, i, result)`` with
-    ``i = j - 1`` and ``result = x_i * (u / x_j)`` t-spread but outside the
-    ideal.  Generators are int bitmasks, indexed by the variables they hold.
+    Returns None if stable, else the first witness ``(u, j, i, result)`` in
+    :meth:`SpreadIdeal.all_generators` order: ``i = j - 1`` and
+    ``result = x_i * (u / x_j)`` is t-spread but outside the ideal.
 
     1. t-spread strong stability is closure under t-spread unit decrements
        x_{a-1} * (w / x_a): any move factors into them, taken lowest position
@@ -257,25 +267,34 @@ def generator_move_violation(ideal: SpreadIdeal):
        a.  If a divides m, g divides the result.  If a lies in g, then
        g' = g - a + (a-1) divides the result, so it is t-spread, and it is a
        unit decrement of g.
-    3. For w = u - a + (a-1), only generators containing a-1 need testing: a
-       minimal generator dividing w but lacking a-1 would properly divide u.
-       This relies on minimality, which :meth:`SpreadIdeal.from_generators`,
-       :meth:`SpreadIdeal.from_json`, :func:`borel_ideal` and the oracle
-       establish.
+    3. Prefix lemma: for J strongly stable and w t-spread, w lies in J iff
+       some prefix w[:k] is a minimal generator of J.  A generator g of
+       degree m dividing w has w[:m] <= g componentwise, so w[:m] lies in
+       B_t(g); the shortest prefix of w in J is then a generator.
+    4. Scanning by ascending degree, the first decrement w with no generator
+       prefix lies outside the ideal.  Else a generator dividing w that is no
+       prefix of it has lower degree; the generators of lower degree passed,
+       their decrements having generator prefixes of no higher degree, so by
+       1-2 they generate a strongly stable J, and 3 gives w a prefix in J.
+
+    So each decrement of u at position p is one walk along its own path in
+    the generators' prefix trie from u's node at depth p, since a minimal
+    generator has no generator as a proper prefix.
     """
     t = ideal.ctx.spread_t
     gens = ideal.all_generators()
-    masks = [sum(1 << a for a in u) for u in gens]
-    containing: dict[int, list[int]] = {}
-    for u, mask in zip(gens, masks):
-        for a in u:
-            containing.setdefault(a, []).append(mask)
-    for u, mask in zip(gens, masks):
+    trie: dict = {}
+    _trie_add(trie, gens)
+    for u in gens:
+        node = trie  # u's node at depth p
         for p, a in enumerate(u):
             if a > 1 and (p == 0 or a - 1 - u[p - 1] >= t):
-                w = mask ^ (1 << a) ^ (1 << (a - 1))
-                if not any(g & w == g for g in containing.get(a - 1, ())):
+                walk, q = node.get(a - 1), p + 1
+                while walk and _END not in walk and q < len(u):
+                    walk, q = walk.get(u[q]), q + 1
+                if not walk or _END not in walk:
                     return u, a, a - 1, u[:p] + (a - 1,) + u[p + 1:]
+            node = node[a]
     return None
 
 

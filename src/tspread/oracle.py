@@ -471,16 +471,8 @@ def brute_force_max_corners(
                         best = r
     except BudgetExceededError:
         partial = True
-    return TableCell(
-        n=ctx.n_vars,
-        t=t,
-        ell1=ell1,
-        value=best,
-        provenance="brute-force",
-        partial=partial,
-        unconstrained=unconstrained,
-        ideals=ideals,
-    )
+    return TableCell(n=ctx.n_vars, t=t, ell1=ell1, value=best, provenance="brute-force",
+                     partial=partial, unconstrained=unconstrained, ideals=ideals)
 
 
 def regenerate_table(

@@ -2,8 +2,9 @@
 
 The oracles are deliberately independent of the library's fast paths:
 subset filters, breadth-first closures over the moves, componentwise-
-domination closures, the basis-walk stability test, the one-ideal-at-a-time
-max-corner walk, and hand-transcribed golden values.  The utilities are
+domination closures, the basis-walk stability test, the literal scan for the
+first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
+walk, and hand-transcribed golden values.  The utilities are
 small functions only the tests need: index helpers, the slex successor with
 a fixed last index, the iterated shadow, and the Borel-closed sets of one
 degree listed by the library's down-set search.
@@ -127,7 +128,7 @@ def find_stability_violation(ideal):
     def member(support):
         return any(g <= support for g in gens)
 
-    for d in range(ideal.indeg(), ideal.max_gen_degree() + 2):
+    for d in range(ideal.indeg(), max(ideal.gens) + 2):
         for u in _spread_basis(n, d, t):
             sup = set(u)
             if not member(sup):
@@ -140,6 +141,27 @@ def find_stability_violation(ideal):
                     if (all(b - a >= t for a, b in zip(moved, moved[1:]))
                             and not member(set(moved))):
                         return u, j, i, moved
+    return None
+
+
+def first_outside_decrement(ideal):
+    """The first t-spread unit decrement x_{a-1} * (u / x_a) of a minimal
+    generator u that no generator divides, as ``(u, a, a - 1, result)``;
+    None if every decrement lies in the ideal.
+
+    A literal scan: generators in ``all_generators`` order, positions left
+    to right, membership by divisibility against every generator.
+    """
+    gens = ideal.all_generators()
+    supports = [set(g) for g in gens]
+    for u in gens:
+        for a in u:
+            if a == 1 or a - 1 in u:
+                continue
+            moved = tuple(sorted(set(u) - {a} | {a - 1}))
+            if is_t_spread(moved, ideal.ctx) and not any(
+                    g <= set(moved) for g in supports):
+                return u, a, a - 1, moved
     return None
 
 

@@ -1,8 +1,10 @@
 """Command-line interface: output formats, exit codes, golden text."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,35 @@ class TestBetti:
                                capsys)
         assert code == 3
         assert "x1*x5" in err  # the violating move is named
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"n": 5, "t": 2, "gens": [[1, 3.5]]}', "integer"),
+        ('{"n": 5, "t": 2, "gens": [[1.0, 3]]}', "integer"),
+        ('{"n": 5, "t": 2, "gens": [[true, 3]]}', "integer"),
+        ('{"n": 5.0, "t": 2, "gens": [[1, 3]]}', "integer"),
+        ('{"n": 5, "t": 2, "gens": ["x1*x3"]}', "integer"),
+        ('{"n": 5, "gens": [[1, 3]]}', "key 't'"),
+        ('{"t": 2, "gens": [[1, 3]]}', "key 'n'"),
+        ('{"n": 5, "t": 2}', "key 'gens'"),
+        ("not json", "malformed"),
+        ("", "malformed"),
+        ('{"n": 5, "t": 2, "gens": [1, 3]}', "malformed"),
+        ('{"n": 5, "t": 2, "gens": null}', "malformed"),
+        ("[5, 2]", "malformed"),
+    ])
+    def test_malformed_ideal_file_exits_3(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "ideal.json"
+        path.write_text(text)
+        code, out, err = run_cli(["betti", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_undecodable_ideal_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "ideal.json"
+        path.write_bytes(b'\xff\xfe{"n"')
+        code, out, err = run_cli(["betti", str(path)], capsys)
+        assert code == 3 and out == "" and err.startswith("error: malformed")
 
     def test_zero_spread_exits_3(self, capsys):
         code, out, err = run_cli(["betti", "--gens", "x1*x2", "-n", "2", "-t", "0"],
@@ -265,10 +296,13 @@ class TestArgumentErrors:
 
 
 def test_console_entry_point():
+    # the child imports the same tspread as this process, installed or not
+    src = str(Path(tspread.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "tspread", "enumerate", "-n", "9", "-t", "2",
          "-d", "4", "--count"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert result.stdout == "15\n"

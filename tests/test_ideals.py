@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tspread import (
     Context,
+    IdealFormatError,
     NotTSpreadError,
     SpreadIdeal,
     borel_closure_degree,
@@ -27,7 +28,8 @@ from tspread.oracle import max_spread_degree
 
 from helpers import (bfs_borel_ideal, bfs_closure, brute_force_spread,
                      domination_closure, find_stability_violation,
-                     iterated_shadow, literal_shadow, pairwise_minimalize)
+                     first_outside_decrement, iterated_shadow, literal_shadow,
+                     pairwise_minimalize)
 
 
 def spread_contexts(max_n=9, max_t=3):
@@ -238,12 +240,27 @@ class TestStrongStability:
         I = SpreadIdeal.from_generators(Context(9, 2), [(2, 5)])
         assert generator_move_violation(I) == ((2, 5), 2, 1, (1, 5))
 
+    def test_decrement_in_ideal_without_generator_prefix(self):
+        # x1x3x4 = x4 * (x1x3x5 / x5) lies in I through x1x4, which is no
+        # prefix of it; the first decrement outside I is x1x3 from x1x4, the
+        # lower-degree generator, which an ascending-degree scan meets first
+        I = SpreadIdeal.from_generators(Context(5, 1), [(1, 4), (1, 3, 5)])
+        assert I.contains((1, 3, 4))
+        assert generator_move_violation(I) == ((1, 4), 4, 3, (1, 3))
+        assert first_outside_decrement(I) == ((1, 4), 4, 3, (1, 3))
+
+    def test_large_constructed_ideal_is_stable(self):
+        # 14,998 generators over 148 degrees
+        I, _ = construct_extremal_ideal(300, 2, 2)
+        assert generator_move_violation(I) is None
+
 
 def assert_gate_matches_basis_walk(ideal) -> bool:
     """The gate and the basis walk agree; a gate witness is a t-spread unit
     decrement of a minimal generator that lies outside the ideal.  Returns
     the verdict (True for stable)."""
     witness = generator_move_violation(ideal)
+    assert witness == first_outside_decrement(ideal)
     assert (witness is None) == (find_stability_violation(ideal) is None)
     if witness is not None:
         u, j, i, moved = witness
@@ -288,6 +305,19 @@ class TestJsonInterface:
     def test_rejects_non_spread_input(self):
         text = json.dumps({"n": 9, "t": 3, "gens": [[1, 3]]})
         with pytest.raises(NotTSpreadError):
+            SpreadIdeal.from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 9, "t": 2, "gens": [[1, 3.5]]}',
+        '{"n": 9, "t": 2, "gens": [[false, 3]]}',
+        '{"n": "9", "t": 2, "gens": [[1, 3]]}',
+        '{"n": 9, "gens": [[1, 3]]}',
+        '{"n": 9, "t": 2, "gens": [7]}',
+        '[9, 2, [[1, 3]]]',
+        '{n: 9}',
+    ])
+    def test_rejects_malformed_text(self, text):
+        with pytest.raises(IdealFormatError):
             SpreadIdeal.from_json(text)
 
 
@@ -388,6 +418,14 @@ def redundant_generator_lists(draw):
         gens += draw(st.lists(st.sampled_from(multiples), max_size=10))
     gens += draw(st.lists(st.sampled_from(gens), max_size=4))
     return ctx, draw(st.permutations(gens))
+
+
+@given(redundant_generator_lists())
+@settings(max_examples=300, deadline=None)
+def test_gate_witness_is_first_outside_decrement(case):
+    ctx, gens = case
+    I = SpreadIdeal.from_generators(ctx, gens)
+    assert generator_move_violation(I) == first_outside_decrement(I)
 
 
 @given(redundant_generator_lists())
