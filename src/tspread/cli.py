@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .betti import (corners_from_table, graded_betti, proj_dim, regularity,
@@ -47,16 +46,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _budget_from(args) -> SearchBudget:
-    seconds = args.budget_seconds
-    if seconds is None:
-        env = os.environ.get("TSPREAD_BUDGET_SECONDS")
-        seconds = float(env) if env else None
-    kwargs = {"timeout": seconds}
-    if getattr(args, "max_ideals", None) is not None:  # validate only
-        kwargs["max_ideals"] = args.max_ideals
-    if args.max_states is not None:
-        kwargs["max_states"] = args.max_states
-    return SearchBudget(**kwargs)
+    return SearchBudget(args.max_states, args.budget_seconds)
 
 
 def _load_ideal(args) -> SpreadIdeal:
@@ -176,6 +166,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _budget_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget-seconds", type=float, default=None,
+                   help="wall-clock cap on each search")
+    p.add_argument("--max-states", type=int, default=SearchBudget.max_states,
+                   help="cap on the work of each search (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tspread",
@@ -215,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--brute-force-upto", type=int, default=0, metavar="N",
                    help="verify cells with n <= N by exhaustive enumeration")
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--max-states", type=int, default=None,
-                   help="cap on the work of the max-corner search")
+    _budget_arguments(p)
     p.add_argument("--format", choices=["text", "json", "markdown", "csv"],
                    default="text")
     p.set_defaults(func=cmd_table)
@@ -226,11 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--t", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--l", type=_parse_range, required=True, metavar="A:B")
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--max-ideals", type=int, default=None,
-                   help="cap on the ideals walked one by one")
-    p.add_argument("--max-states", type=int, default=None,
-                   help="cap on the work of the max-corner search")
+    _budget_arguments(p)
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -16,7 +16,9 @@ is descending slex order, which is how every function here sorts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
+from operator import add
 
 from .errors import DegreeMismatchError, InvalidMonomialError
 
@@ -89,27 +91,18 @@ def spread_count(n: int, d: int, t: int) -> int:
 def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
     """All t-spread monomials of degree d, in descending slex order.
 
-    The recursion picks i_1 ascending and recurses on the tail shifted by t,
-    so the output is natively slex-descending; no sort is performed.  May be
-    empty (precisely when n < (d-1)t + 1).
+    Adding j(t - 1) to the index at position j = 0, ..., d-1 maps the
+    d-subsets of {1, ..., n - (d-1)(t-1)} one to one onto the t-spread
+    monomials and preserves ascending tuple order, so the output is natively
+    slex-descending with no sort and no recursion.  May be empty (precisely
+    when n < (d-1)t + 1).
     """
     n, t = ctx.n_vars, ctx.spread_t
     if d < 0:
         raise InvalidMonomialError(f"degree must be >= 0, got {d}")
-    out: list[Monomial] = []
-    prefix: list[int] = []
-
-    def rec(lo: int, rem: int) -> None:
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(lo, n - t * (rem - 1) + 1):
-            prefix.append(i)
-            rec(i + t, rem - 1)
-            prefix.pop()
-
-    rec(1, d)
-    return out
+    shift = [j * (t - 1) for j in range(d)]
+    return [tuple(map(add, s, shift))
+            for s in combinations(range(1, n - (d - 1) * (t - 1) + 1), d)]
 
 
 def max_index(u: Monomial) -> int:

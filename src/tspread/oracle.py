@@ -31,6 +31,11 @@ from .errors import (BudgetExceededError, ConstructionInapplicableError,
 from .ideals import SpreadIdeal, shadow as shadow_of
 from .monomials import Context, Monomial, spread_count, spread_monomials
 
+# the most variables the oracle takes: layer builds grow with the square of
+# the degree, which the mask-bit count of _check_mask_bits leaves out
+_MAX_N = 32
+
+
 # degrees beyond floor((n-1)/t) + 1 carry no t-spread monomials at all
 def max_spread_degree(n: int, t: int) -> int:
     return (n - 1) // t + 1
@@ -38,28 +43,50 @@ def max_spread_degree(n: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for exhaustive enumeration; exceeding any of them aborts the
-    search with a partial-result marker rather than a silent wrong answer.
+    """Caps for each exhaustive search; exceeding either aborts it with a
+    partial-result marker rather than a silent wrong answer.
 
-    ``max_states`` caps the work of the max-corner search: the search nodes
-    it visits plus the family entries it builds.  It counts entries, not
-    bytes; an entry holds a shadow mask as wide as the next layer.  Before
-    any layer is built, layers whose masks would need more than
-    ``8 * max_states`` bits are refused.  ``max_ideals``
-    caps the ideals and down-sets walked one at a time; the max-corner
-    search counts ideals without walking them, so it ignores this cap.
-    ``timeout`` is in wall-clock seconds; the search checks it every few
-    thousand nodes and at every family it builds.
+    ``max_states`` caps the units a search charges to its :class:`_Meter`:
+    the walk of :func:`enumerate_strongly_stable_ideals` one per ideal it
+    yields, the max-corner search one per node and per family entry, and
+    check (a) of :func:`cross_validate` one per monomial of the layer for
+    each closure compared.  Entries, not bytes: a family entry holds a
+    shadow mask as wide as the next layer.  Layers whose masks would need
+    more than ``8 * max_states`` bits are refused before any is built.
+    ``timeout`` is in wall-clock seconds per search; with it set the clock
+    is read at every charge, else never.
     """
 
-    max_n: int = 32
     max_states: int = 10_000_000
-    max_ideals: int = 50_000_000
     timeout: float | None = None  # None = no limit
 
     def __post_init__(self):
-        if self.max_n < 1 or self.max_states < 1 or self.max_ideals < 1:
-            raise ValueError("budget caps must be positive")
+        if self.max_states < 1:
+            raise ValueError("max_states must be positive")
+
+
+class _Meter:
+    """The work one search has spent, ``used`` units of ``max_states``.
+
+    With a timeout set, it starts the clock when made and reads it at every
+    charge; it is the one reader of the clock in the oracle.
+    """
+
+    def __init__(self, budget: SearchBudget):
+        self.budget, self.used, self.deadline = budget, 0, None
+        self.charge(0)
+
+    def charge(self, work: int = 1) -> None:
+        budget = self.budget
+        self.used += work
+        if self.used > budget.max_states:
+            raise BudgetExceededError(f"state budget {budget.max_states} exhausted")
+        if budget.timeout is not None:
+            now = time.monotonic()
+            if self.deadline is None:
+                self.deadline = now + budget.timeout
+            elif now > self.deadline:
+                raise BudgetExceededError(f"timeout of {budget.timeout}s exhausted")
 
 
 @dataclass
@@ -132,9 +159,11 @@ def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
 def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
     """The layers of degree l1 up to the top degree, each linked to the next.
 
-    Raises BudgetExceededError, before building anything, when their masks
-    are too large for :func:`_check_mask_bits`.
+    Raises BudgetExceededError, before building anything, above ``_MAX_N``
+    variables or when the masks are too large for :func:`_check_mask_bits`.
     """
+    if ctx.n_vars > _MAX_N:
+        raise BudgetExceededError(f"n={ctx.n_vars} exceeds the oracle's {_MAX_N} variables")
     top = max_spread_degree(ctx.n_vars, ctx.spread_t)
     _check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)
                       for d in range(ell1, top + 1)], budget)
@@ -194,29 +223,19 @@ def _down_sets(layer: _Layer, required: int = 0, frontier: int = 0):
         yield gens, shadow, mm, cnt, free
 
 
-def _deadline(budget: SearchBudget) -> float | None:
-    return None if budget.timeout is None else time.monotonic() + budget.timeout
-
-
-def _check_deadline(deadline: float | None, budget: SearchBudget) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError(f"timeout of {budget.timeout}s exhausted")
-
-
 def _walk_chains(layers: list[_Layer], budget: SearchBudget):
     """Yield one ``[(degree, gens_mask, layer), ...]`` list per ideal.
 
     Chains start with a nonempty down-set at the first layer (so the initial
     degree is exactly that of ``layers[0]``) and at each later degree range
-    over all down-sets containing the shadow of the previous one.  Raises
-    BudgetExceededError when ``max_ideals`` or ``timeout`` is hit.
+    over all down-sets containing the shadow of the previous one.  Each
+    ideal is charged to the budget before it is yielded, so the walk raises
+    BudgetExceededError at exactly ``max_states`` ideals or at the timeout.
     """
-    deadline = _deadline(budget)
+    meter = _Meter(budget)
     last = len(layers) - 1
-    count = 0
 
     def rec(li: int, required: int, chain: list):
-        nonlocal count
         layer = layers[li]
         for gens, shadow, _, _, _ in _down_sets(layer, required):
             if li == 0 and gens == 0:
@@ -224,15 +243,9 @@ def _walk_chains(layers: list[_Layer], budget: SearchBudget):
             link = chain + [(layer.d, gens, layer)] if gens else chain
             if li < last:
                 yield from rec(li + 1, shadow, link)
-                continue
-            count += 1
-            if count > budget.max_ideals:
-                raise BudgetExceededError(
-                    f"ideal budget {budget.max_ideals} exhausted"
-                )
-            if count % 1024 == 0:
-                _check_deadline(deadline, budget)
-            yield link
+            else:
+                meter.charge()
+                yield link
 
     yield from rec(0, 0, [])
 
@@ -245,8 +258,6 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
     hit, so everything yielded before the error is valid but partial.
     """
     budget = budget or SearchBudget()
-    if ctx.n_vars > budget.max_n:
-        raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
     if ell1 < 1 or ell1 > max_spread_degree(ctx.n_vars, ctx.spread_t):
         return
     for chain in _walk_chains(_layers(ctx, ell1, budget), budget):
@@ -261,7 +272,7 @@ _TOP = (1, ((-1, 0),), ((-1, 0),))
 # family; memoising larger ones saves little time and costs memory
 _FRONTIER = 12
 
-# search nodes between two budget and deadline checks
+# search nodes between two charges to the meter
 _CHECK_EVERY = 4096
 
 
@@ -295,19 +306,9 @@ class _CornerSearch:
 
     def __init__(self, layers: list[_Layer], budget: SearchBudget):
         self.layers = layers
-        self.budget = budget
-        self.deadline = _deadline(budget)
-        self.visited = 0  # nodes and family entries, against max_states
+        self.meter = _Meter(budget)  # nodes and family entries
         self.memo: list[dict] = [{} for _ in layers]
         self.families: list[dict] = [{} for _ in layers]
-
-    def _spend(self, work: int) -> None:
-        self.visited += work
-        if self.visited > self.budget.max_states:
-            raise BudgetExceededError(
-                f"state budget {self.budget.max_states} exhausted"
-            )
-        _check_deadline(self.deadline, self.budget)
 
     def groups(self, li: int, required: int) -> dict:
         """Down-sets of layer ``li`` containing ``required``, counted per
@@ -323,18 +324,19 @@ class _CornerSearch:
         """
         layer = self.layers[li]
         families = self.families[li] if li else {}
+        meter = self.meter
         nodes = charged = mark = 0
         leaves: dict[tuple[int, int, int, bool], int] = {}
         for _, shadow, mm, cnt, free in _down_sets(layer, required, _FRONTIER):
             nodes += 1
             if nodes > mark:
-                self._spend(nodes - charged)
+                meter.charge(nodes - charged)
                 charged = nodes
-                mark = nodes + min(self.budget.max_states - self.visited,
+                mark = nodes + min(meter.budget.max_states - meter.used,
                                    _CHECK_EVERY)
             leaf = (free, shadow, mm, cnt == 1)
             leaves[leaf] = leaves.get(leaf, 0) + 1
-        self._spend(nodes - charged)
+        meter.charge(nodes - charged)
         groups: dict[tuple[int, int, bool], int] = {}
         for (free, shadow, mm, one), mult in leaves.items():
             family = self._family(families, layer, free)
@@ -372,7 +374,7 @@ class _CornerSearch:
                 entry = (shadow | extra, max(v, fm), v > fm or (one and v < fm))
                 family[entry] = family.get(entry, 0) + count
         memo[free] = family
-        self._spend(len(family))
+        self.meter.charge(len(family))
         return family
 
     def solve(self, li: int, required: int):
@@ -442,10 +444,6 @@ def brute_force_max_corners(
     ideals = 0
     partial = False
     try:
-        if ctx.n_vars > budget.max_n:
-            raise BudgetExceededError(
-                f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}"
-            )
         if ell1 <= max_spread_degree(ctx.n_vars, t):
             search = _CornerSearch(_layers(ctx, ell1, budget), budget)
             offset = t * (ell1 - 1) + 1
@@ -578,7 +576,8 @@ def cross_validate(
         record fail; the brute-force search must also count exactly the
         ideals of (b).
 
-    Budget exhaustion marks the affected record and the report as partial.
+    Each check runs under its own meter of ``budget``; exhaustion marks the
+    affected record and the report as partial.
     The closed forms need t >= 2 and l1 >= 2; a range reaching below either
     raises ConstructionInapplicableError before any record is built.
     """
@@ -597,19 +596,25 @@ def cross_validate(
         for n in range(n_range[0], n_range[1] + 1):
             ctx = Context(n, t)
             # (a) closures against down-sets of the move order, degrees up to 4
-            bad = 0
-            checked = 0
-            for d in range(1, min(4, max_spread_degree(n, t)) + 1):
-                layer = _Layer(ctx, d)
-                for q, u in enumerate(layer.monomials):
-                    below = [v for v, up in zip(layer.monomials, layer.up)
-                             if up >> q & 1]
-                    checked += 1
-                    if borel_closure_degree(u, ctx) != below:
-                        bad += 1
+            meter = _Meter(budget)
+            bad = checked = 0
+            partial = False
+            try:
+                for d in range(1, min(4, max_spread_degree(n, t)) + 1):
+                    _check_mask_bits([spread_count(n, d, t)], budget)
+                    layer = _Layer(ctx, d)
+                    for q, u in enumerate(layer.monomials):
+                        meter.charge(layer.size)  # the scan and closure are linear in it
+                        below = [v for v, up in zip(layer.monomials, layer.up)
+                                 if up >> q & 1]
+                        checked += 1
+                        if borel_closure_degree(u, ctx) != below:
+                            bad += 1
+            except BudgetExceededError:
+                partial = report.partial = True
             report.records.append({
                 "check": "closure-domination", "n": n, "t": t,
-                "cases": checked, "ok": bad == 0,
+                "cases": checked, "ok": bad == 0, "partial": partial,
                 "detail": f"{bad} mismatches" if bad else "",
             })
 

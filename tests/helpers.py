@@ -356,20 +356,20 @@ def enumerate_borel_closed(ctx, d, budget=None):
     """All subsets of M_{n,d,t} closed under the admissible moves, listed by
     the oracle's down-set search over one layer.
 
-    Includes the empty set and the full set.  Raises BudgetExceededError if
-    the count passes ``budget.max_ideals``, or up front if the up-sets of
-    the degree are too large for ``oracle._check_mask_bits``.
+    Includes the empty set and the full set.  Each set is charged to one
+    ``oracle._Meter``, so BudgetExceededError is raised past
+    ``budget.max_states`` sets, or up front above ``oracle._MAX_N``
+    variables or when the up-sets of the degree are too large for
+    ``oracle._check_mask_bits``.
     """
     budget = budget or SearchBudget()
-    if ctx.n_vars > budget.max_n:
-        raise BudgetExceededError(f"n={ctx.n_vars} exceeds budget max_n={budget.max_n}")
+    if ctx.n_vars > oracle._MAX_N:
+        raise BudgetExceededError(f"n={ctx.n_vars} exceeds {oracle._MAX_N}")
     oracle._check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)], budget)
     layer = oracle._Layer(ctx, d)
+    meter = oracle._Meter(budget)
     out = []
     for gens, _, _, _, _ in oracle._down_sets(layer):
-        if len(out) >= budget.max_ideals:
-            raise BudgetExceededError(
-                f"more than {budget.max_ideals} Borel-closed sets in degree {d}"
-            )
+        meter.charge()
         out.append(layer.members(gens))
     return out

@@ -257,9 +257,33 @@ class TestValidate:
             assert json.loads(line)["ok"]
 
     def test_partial_exits_4(self, capsys):
-        code, _, _ = run_cli(["validate", "--n", "9:9", "--t", "2:2",
-                              "--l", "2:2", "--max-ideals", "5"], capsys)
+        # the walk stops at 3,000 of 3,369 ideals, after 87 closures
+        # compared for 2,315 units
+        code, out, _ = run_cli(["validate", "--n", "9:9", "--t", "2:2",
+                                "--l", "2:2", "--max-states", "3000"], capsys)
         assert code == 4
+        closure, walk, _ = [json.loads(line) for line in out.splitlines()]
+        assert walk["partial"] and walk["cases"] == 3000
+        assert not closure["partial"] and closure["cases"] == 87
+
+    def test_removed_budget_routes(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--n", "9:9", "--t", "2:2", "--l", "2:2",
+                  "--max-ideals", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        # --budget-seconds is the only route to the timeout
+        monkeypatch.setenv("TSPREAD_BUDGET_SECONDS", "0")
+        code, _, _ = run_cli(["validate", "--n", "6:6", "--t", "2:2",
+                              "--l", "2:2"], capsys)
+        assert code == 0
+
+    def test_closure_check_timeout_exits_4(self, capsys):
+        code, out, _ = run_cli(["validate", "--n", "9:9", "--t", "2:2",
+                                "--l", "2:2", "--budget-seconds", "0"], capsys)
+        assert code == 4
+        closure = json.loads(out.splitlines()[0])
+        assert closure["check"] == "closure-domination" and closure["partial"]
 
     def test_state_budget_exits_4(self, capsys):
         code, out, _ = run_cli(["validate", "--n", "9:9", "--t", "2:2",

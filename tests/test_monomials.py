@@ -133,6 +133,16 @@ class TestEnumeration:
                     else:
                         assert not mons
 
+    def test_degree_far_past_the_recursion_limit(self):
+        # degree 1050 is deeper than the default recursion limit
+        ctx = Context(2100, 2)
+        got = spread_monomials(ctx, 1050)
+        assert len(got) == spread_count(2100, 1050, 2) == 1051
+        assert got == sorted(set(got))
+        assert all(len(u) == 1050 and is_t_spread(u, ctx) for u in got)
+        assert got[0] == tuple(range(1, 2100, 2))
+        assert got[-1] == tuple(range(2, 2101, 2))
+
     def test_all_members_squarefree(self):
         for u in spread_monomials(Context(10, 1), 4):
             assert len(set(u)) == len(u)

@@ -90,8 +90,10 @@ class TestEnumerateBorelClosed:
                 assert is_strongly_stable(level)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_borel_closed(Context(9, 2), 2, SearchBudget(max_ideals=5))
+        # 128 sets, and masks of 784 bits, under 8 * 100
+        assert len(enumerate_borel_closed(Context(9, 2), 2, SearchBudget(max_states=128))) == 128
+        with pytest.raises(BudgetExceededError, match="state budget"):
+            enumerate_borel_closed(Context(9, 2), 2, SearchBudget(max_states=127))
 
     def test_oversized_degree_refused_before_building(self, monkeypatch):
         monkeypatch.setattr(oracle, "_Layer", _no_layer)
@@ -154,13 +156,34 @@ class TestEnumerateIdeals:
         assert emitted == expected
 
     def test_budget_interrupts_stream(self):
+        # the layers' masks need 3,755 bits, under 8 * 500
         ctx = Context(9, 2)
-        budget = SearchBudget(max_ideals=10)
+        budget = SearchBudget(max_states=500)
         seen = []
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="state budget"):
             for ideal in enumerate_strongly_stable_ideals(ctx, 2, budget):
                 seen.append(ideal)
-        assert len(seen) == 10
+        assert len(seen) == 500
+
+    def test_timeout_interrupts_stream(self, monkeypatch):
+        # a clock that ticks once per reading, read when the walk starts
+        # and at every ideal: the third ideal is past the deadline
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(oracle, "time",
+                            SimpleNamespace(monotonic=lambda: next(ticks)))
+        seen = []
+        with pytest.raises(BudgetExceededError, match="timeout"):
+            for ideal in enumerate_strongly_stable_ideals(Context(9, 2), 2,
+                                                          SearchBudget(timeout=2.5)):
+                seen.append(ideal)
+        assert len(seen) == 2
+
+    def test_more_variables_than_the_oracle_takes_are_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_Layer", _no_layer)
+        with pytest.raises(BudgetExceededError, match="33"):
+            list(enumerate_strongly_stable_ideals(Context(33, 2), 17))
+        # past the top t-spread degree there is nothing to walk
+        assert list(enumerate_strongly_stable_ideals(Context(40, 2), 25)) == []
 
 
 class TestBruteForceMaxCorners:
@@ -337,7 +360,7 @@ class TestCornerSearch:
             for shadow, mm, _ in search.groups(0, 0):
                 if mm >= 0:
                     search.solve(1, shadow)
-            return search.visited
+            return search.meter.used
 
         done = work()
         monkeypatch.setattr(oracle, "_CHECK_EVERY", 7)
@@ -364,21 +387,29 @@ class TestCornerSearch:
         assert next(ticks) == 4
 
     def test_ideal_budget_is_exact(self):
-        # max_ideals stops the walk one ideal short of the total; the
-        # search counts the ideals without walking them and ignores it
+        # the walk charges max_states one unit per ideal, so a cap one
+        # short of the total stops it one ideal short
         ctx = Context(9, 2)
         exact = brute_force_max_corners(ctx, 2)
-        capped = SearchBudget(max_ideals=exact.ideals - 1)
+        capped = SearchBudget(max_states=exact.ideals - 1)
         walked = 0
         with pytest.raises(BudgetExceededError):
             for _ in enumerate_strongly_stable_ideals(ctx, 2, capped):
                 walked += 1
         assert walked == exact.ideals - 1
-        at_cap = SearchBudget(max_ideals=exact.ideals)
+        at_cap = SearchBudget(max_states=exact.ideals)
         assert len(list(enumerate_strongly_stable_ideals(ctx, 2, at_cap))) == exact.ideals
-        cell = brute_force_max_corners(ctx, 2, SearchBudget(max_ideals=1))
-        assert not cell.partial
-        assert (cell.ideals, cell.value) == (exact.ideals, exact.value)
+
+    def test_more_variables_than_the_oracle_takes_are_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_Layer", _no_layer)
+        with pytest.raises(BudgetExceededError, match="33"):
+            oracle._layers(Context(33, 2), 17, SearchBudget())
+        cell = brute_force_max_corners(Context(33, 2), 17)
+        assert cell.partial
+        assert cell.value is None and cell.ideals == 0
+        # past the top t-spread degree there is no layer to build: an exact dash
+        cell = brute_force_max_corners(Context(40, 2), 25)
+        assert not cell.partial and cell.value is None
 
     def test_oversized_layers_refused_before_building(self, monkeypatch):
         # 2^32 monomials in all degrees: refused from spread_count alone
@@ -528,8 +559,37 @@ class TestCrossValidate:
             assert "corner verification failed" in record["detail"]
 
     def test_partial_budget_marks_report(self):
-        report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_ideals=5))
+        # the walk of (b) stops at 3,000 of 3,369 ideals; (a) compares 87
+        # closures, charged 9 * 9 + 28 * 28 + 35 * 35 + 15 * 15 = 2,315 units
+        report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_states=3000))
         assert report.partial
+        closure, walk, _ = report.records
+        assert not closure["partial"] and closure["cases"] == 87
+        assert walk["partial"] and walk["cases"] == 3000
+
+    def test_closure_check_under_the_state_budget(self):
+        # n = 5, t = 2: 5 + 6 + 1 closures charged 5, 6 and 1 units each
+        # (25 + 36 + 1), masks of at most 36 bits; 40 units end in degree 2
+        report = cross_validate((5, 5), (2, 2), (2, 2), SearchBudget(max_states=40))
+        closure = report.records[0]
+        assert closure["check"] == "closure-domination"
+        assert closure["partial"] and closure["ok"] and closure["cases"] == 7
+        full = cross_validate((5, 5), (2, 2), (2, 2), SearchBudget(max_states=62))
+        assert not full.records[0]["partial"] and full.records[0]["cases"] == 12
+        assert report.partial
+
+    def test_closure_check_under_a_timeout(self):
+        report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(timeout=0.0))
+        closure = report.records[0]
+        assert closure["partial"] and closure["cases"] < 87
+        assert report.partial
+
+    def test_closure_check_refuses_oversized_masks(self, monkeypatch):
+        # degree 1 of n = 9 needs 81 bits, over 8 * 10
+        monkeypatch.setattr(oracle, "_Layer", _no_layer)
+        report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_states=10))
+        closure = report.records[0]
+        assert closure["partial"] and closure["cases"] == 0
 
 
 def test_stability_of_every_enumerated_ideal_generator_criterion():
