@@ -45,10 +45,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _budget_from(args) -> SearchBudget:
-    return SearchBudget(args.max_states, args.budget_seconds)
-
-
 def _load_ideal(args) -> SpreadIdeal:
     if args.ideal_file:
         with open(args.ideal_file, "rb") as fh:  # from_json rejects undecodable bytes
@@ -139,8 +135,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_table(args) -> int:
-    budget = _budget_from(args)
-    cells = regenerate_table(args.t, args.n, args.l, budget,
+    cells = regenerate_table(args.t, args.n, args.l, args.budget,
                              brute_force_upto=args.brute_force_upto)
     if args.format == "csv":
         print(table_csv(cells))
@@ -156,8 +151,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    budget = _budget_from(args)
-    report = cross_validate(args.n, args.t, args.l, budget)
+    report = cross_validate(args.n, args.t, args.l, args.budget)
     print(report.to_json_lines())
     if not report.ok:
         return 1
@@ -229,6 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits 2 on bad arguments
+    if hasattr(args, "max_states"):  # a budget the searches refuse is a usage error
+        try:
+            args.budget = SearchBudget(args.max_states, args.budget_seconds)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except TSpreadError as exc:

@@ -169,24 +169,32 @@ def _dominated(ctx: Context, deg: int, tops, earlier, first: bool = False) -> li
     time, smallest index first, so the hits come slex-descending.  It
     carries the tops and the members of ``earlier`` that still dominate the
     prefix, and abandons it once a member of ``earlier`` dominates it whole.
+    It runs depth-first on an explicit stack with one frame per fixed
+    position, ``(p, live, pending, values)``, whose iterator ``values``
+    yields the candidates for position p in ascending order, so the depth
+    is not bounded by the interpreter's recursion limit.
     """
     n, t = ctx.n_vars, ctx.spread_t
     found: list[Monomial] = []
     if any(not e for e in earlier):
         return found  # the unit monomial divides everything
+    if not deg:
+        return [()]
     u = [0] * deg
+    last = deg - 1
+    # a lone top needs no filtering, which saves the construction (one top
+    # per degree) about a tenth of its search time
 
-    def rec(p: int, live, pending) -> bool:
-        if p == deg:
-            found.append(tuple(u))
-            return first
+    def span(p: int, live):
         lo = u[p - 1] + t if p else 1
-        # a lone top needs no filtering, which saves the construction (one
-        # top per degree) about a tenth of its search time
-        lone = len(live) == 1
-        hi = min(live[0][p] if lone else max([w[p] for w in live]),
+        hi = min(live[0][p] if len(live) == 1 else max([w[p] for w in live]),
                  n - t * (deg - 1 - p))
-        for v in range(lo, hi + 1):
+        return iter(range(lo, hi + 1))
+
+    stack = [(0, tops, earlier, span(0, tops))]
+    while stack:
+        p, live, pending, values = stack[-1]
+        for v in values:
             u[p] = v
             nxt = []
             for e in pending:
@@ -195,12 +203,16 @@ def _dominated(ctx: Context, deg: int, tops, earlier, first: bool = False) -> li
                         break  # the prefix is dominated by e: a multiple
                     nxt.append(e)
             else:
-                above = live if lone else [w for w in live if v <= w[p]]
-                if rec(p + 1, above, nxt):
-                    return True
-        return False
-
-    rec(0, tops, earlier)
+                if p == last:
+                    found.append(tuple(u))
+                    if first:
+                        return found
+                else:
+                    above = live if len(live) == 1 else [w for w in live if v <= w[p]]
+                    stack.append((p + 1, above, nxt, span(p + 1, above)))
+                    break
+        else:
+            stack.pop()
     return found
 
 

@@ -63,6 +63,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be positive")
+        if self.timeout is not None and not self.timeout >= 0:  # also NaN
+            raise ValueError("timeout must be a non-negative number of seconds")
 
 
 class _Meter:
@@ -91,7 +93,12 @@ class _Meter:
 
 @dataclass
 class TableCell:
-    """One (n, t, l1) cell: the maximal corner count, or None for a dash."""
+    """One (n, t, l1) cell: the maximal corner count, or None for a dash.
+
+    Corners of every Betti value count.  ``value`` is the maximum over the
+    ideals whose corner sequence starts in degree l1, ``unconstrained`` the
+    maximum over all ideals of initial degree l1.
+    """
 
     n: int
     t: int
@@ -99,7 +106,7 @@ class TableCell:
     value: int | None
     provenance: str = ""
     partial: bool = False  # True: enumeration aborted, value is a lower bound
-    unconstrained: int | None = None  # max with no corner-at-l1 requirement
+    unconstrained: int | None = None
     ideals: int | None = None  # ideals counted; a lower bound when partial
 
 
@@ -186,41 +193,35 @@ def _union(masks: list[int], bits: int) -> int:
 def _down_sets(layer: _Layer, required: int = 0, frontier: int = 0):
     """Every down-set D of the move order that contains ``required``.
 
-    Yields ``(gens, shadow, mm, cnt, free)``: the bitmask of D minus
+    Yields ``(gens, shadow, mm, free)``: the bitmask of D minus
     ``required`` (the new generators), the shadow of D in the next layer,
     the largest last index among the new generators (-1 if there are none),
-    how many of them attain it, and the elements left undecided, none
-    unless ``frontier`` is set.  ``required`` must itself be a down-set,
-    which every shadow is.
+    and the elements left undecided, none unless ``frontier`` is set.
+    ``required`` must itself be a down-set, which every shadow is.
 
     Elements are indexed slex-descending, a linear extension of the move
     order, and the search decides them lowest index first.  Excluding an
     element takes its whole up-set out of play, so the lowest undecided
     element always has all its predecessors in D and both branches are
     legal: the search tree has exactly one leaf per down-set, and the
-    shadow and the (mm, cnt) pair are carried down it incrementally.  The
-    exclude branch is taken first.  With ``frontier`` the search stops at
-    the nodes where at most that many elements are undecided and yields
-    them instead; their down-sets are those of D plus a down-set of
-    ``free``.
+    shadow and mm are carried down it incrementally.  The exclude branch
+    is taken first.  With ``frontier`` the search stops at the nodes where
+    at most that many elements are undecided and yields them instead;
+    their down-sets are those of D plus a down-set of ``free``.
     """
     up, link, maxval = layer.up, layer.shadow, layer.maxval
     free = ((1 << layer.size) - 1) & ~required
-    stack = [(free, 0, _union(link, required), -1, 0)]
+    stack = [(free, 0, _union(link, required), -1)]
     pop, push = stack.pop, stack.append
     while stack:
-        free, gens, shadow, mm, cnt = pop()
+        free, gens, shadow, mm = pop()
         while free.bit_count() > frontier:
             low = free & -free
             p = low.bit_length() - 1
             v = maxval[p]
-            if v > mm:
-                push((free ^ low, gens | low, shadow | link[p], v, 1))
-            else:
-                push((free ^ low, gens | low, shadow | link[p], mm,
-                      cnt + 1 if v == mm else cnt))
+            push((free ^ low, gens | low, shadow | link[p], v if v > mm else mm))
             free &= ~up[p]
-        yield gens, shadow, mm, cnt, free
+        yield gens, shadow, mm, free
 
 
 def _walk_chains(layers: list[_Layer], budget: SearchBudget):
@@ -237,7 +238,7 @@ def _walk_chains(layers: list[_Layer], budget: SearchBudget):
 
     def rec(li: int, required: int, chain: list):
         layer = layers[li]
-        for gens, shadow, _, _, _ in _down_sets(layer, required):
+        for gens, shadow, _, _ in _down_sets(layer, required):
             if li == 0 and gens == 0:
                 continue
             link = chain + [(layer.d, gens, layer)] if gens else chain
@@ -266,7 +267,7 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
 
 
 # solve() past the top layer: one (empty) choice, no corner, no candidate
-_TOP = (1, ((-1, 0),), ((-1, 0),))
+_TOP = (1, ((-1, 0),))
 
 # free sets of at most this many elements take their down-sets from a shared
 # family; memoising larger ones saves little time and costs memory
@@ -280,28 +281,21 @@ class _CornerSearch:
     """Memoised max-corner search over (layer, required shadow) states.
 
     Corners are read top-down: the new generators of degree l give the
-    candidate k = mm - t(l-1) - 1 (mm their largest last index, cnt how
-    many attain it), and it is a corner iff k exceeds b, the largest
-    candidate of a higher degree (-1 if none); the corner's Betti value is
-    cnt.  The layers from l up therefore reach the layers below only
-    through the pair (b, r), r their corner count, and through whether all
-    their corners have value 1.
+    candidate k = mm - t(l-1) - 1, mm their largest last index, and it is a
+    corner iff k exceeds b, the largest candidate of a higher degree (-1 if
+    none).  The layers from l up therefore reach the layers below only
+    through the pair (b, r), r their corner count.
 
     ``solve(li, required)`` covers every choice of the layers from ``li`` up
     with the down-set of layer ``li`` containing ``required``.  It returns
-    ``(ideals, front, unit)``: the exact number of such choices, the pairs
-    (b, r) that are not dominated, and for each b the largest r among the
-    choices whose corners all have value 1.
+    ``(ideals, front)``: the exact number of such choices and the pairs
+    (b, r) that are not dominated, sorted by b.
 
-    Dominance on ``front``: (b, r) beats (b', r') when b <= b' and r >= r'.
-    A layer below with candidate k keeps it.  If k > b', both become
-    (k, r + 1) and (k, r' + 1); if b < k <= b', they become (k, r + 1) and
-    (b', r'), with k <= b'; if k <= b, both stay.  So the best r, with or
-    without a corner in the initial degree (k > b), is read off the front.
-    The value-1 condition does not join this order: a smaller b makes more
-    candidates below into corners, and a corner of value above 1 then
-    disqualifies the choice that a larger b would have kept.  Among the
-    value-1 choices, only those with equal b compare, hence ``unit``.
+    Dominance: (b, r) beats (b', r') when b <= b' and r >= r'.  A layer
+    below with candidate k keeps it.  If k > b', both become (k, r + 1) and
+    (k, r' + 1); if b < k <= b', they become (k, r + 1) and (b', r'), with
+    k <= b'; if k <= b, both stay.  So the best r, with or without a corner
+    in the initial degree (k > b), is read off the front.
     """
 
     def __init__(self, layers: list[_Layer], budget: SearchBudget):
@@ -312,7 +306,7 @@ class _CornerSearch:
 
     def groups(self, li: int, required: int) -> dict:
         """Down-sets of layer ``li`` containing ``required``, counted per
-        (shadow, mm, cnt == 1).
+        (shadow, mm).
 
         :func:`_down_sets` runs only until at most ``_FRONTIER`` elements
         are free.  Equal nodes at that depth are merged with multiplicities,
@@ -326,34 +320,27 @@ class _CornerSearch:
         families = self.families[li] if li else {}
         meter = self.meter
         nodes = charged = mark = 0
-        leaves: dict[tuple[int, int, int, bool], int] = {}
-        for _, shadow, mm, cnt, free in _down_sets(layer, required, _FRONTIER):
+        leaves: dict[tuple[int, int, int], int] = {}
+        for _, shadow, mm, free in _down_sets(layer, required, _FRONTIER):
             nodes += 1
             if nodes > mark:
                 meter.charge(nodes - charged)
                 charged = nodes
                 mark = nodes + min(meter.budget.max_states - meter.used,
                                    _CHECK_EVERY)
-            leaf = (free, shadow, mm, cnt == 1)
+            leaf = (free, shadow, mm)
             leaves[leaf] = leaves.get(leaf, 0) + 1
         meter.charge(nodes - charged)
-        groups: dict[tuple[int, int, bool], int] = {}
-        for (free, shadow, mm, one), mult in leaves.items():
-            family = self._family(families, layer, free)
-            for (extra, fm, fone), count in family.items():
-                if fm > mm:
-                    key = (shadow | extra, fm, fone)
-                elif fm < mm:
-                    key = (shadow | extra, mm, one)
-                else:  # both empty, or a tie at the largest last index
-                    key = (shadow | extra, mm, False)
+        groups: dict[tuple[int, int], int] = {}
+        for (free, shadow, mm), mult in leaves.items():
+            for (extra, fm), count in self._family(families, layer, free).items():
+                key = (shadow | extra, fm if fm > mm else mm)
                 groups[key] = groups.get(key, 0) + mult * count
         return groups
 
     def _family(self, memo: dict, layer: _Layer, free: int) -> dict:
         """The down-sets D of the free elements ``free``, counted per
-        (shadow of D, largest last index in D, whether exactly one element
-        of D attains it).
+        (shadow of D, largest last index in D).
 
         Built by the include/exclude recursion of :func:`_down_sets`.  It
         depends on ``free`` alone, so ``memo`` holds it for every state of
@@ -363,15 +350,14 @@ class _CornerSearch:
         if family is not None:
             return family
         if not free:
-            family = {(0, -1, False): 1}
+            family = {(0, -1): 1}
         else:
             low = free & -free
             p = low.bit_length() - 1
             family = dict(self._family(memo, layer, free & ~layer.up[p]))
             extra, v = layer.shadow[p], layer.maxval[p]
-            included = self._family(memo, layer, free ^ low)
-            for (shadow, fm, one), count in included.items():
-                entry = (shadow | extra, max(v, fm), v > fm or (one and v < fm))
+            for (shadow, fm), count in self._family(memo, layer, free ^ low).items():
+                entry = (shadow | extra, max(v, fm))
                 family[entry] = family.get(entry, 0) + count
         memo[free] = family
         self.meter.charge(len(family))
@@ -391,9 +377,8 @@ class _CornerSearch:
         offset = layer.ctx.spread_t * (layer.d - 1) + 1
         ideals = 0
         front: dict[int, int] = {}
-        unit: dict[int, int] = {}
-        for (shadow, mm, one), mult in self.groups(li, required).items():
-            count, above, above_unit = self.solve(li + 1, shadow)
+        for (shadow, mm), mult in self.groups(li, required).items():
+            count, above = self.solve(li + 1, shadow)
             ideals += mult * count
             k = mm - offset if mm >= 0 else -1
             for b, r in above:
@@ -401,39 +386,28 @@ class _CornerSearch:
                     b, r = k, r + 1
                 if front.get(b, -1) < r:
                     front[b] = r
-            for b, r in above_unit:
-                if k > b:
-                    if not one:
-                        continue
-                    b, r = k, r + 1
-                if unit.get(b, -1) < r:
-                    unit[b] = r
         pareto = []
         for b in sorted(front):
             if not pareto or front[b] > pareto[-1][1]:
                 pareto.append((b, front[b]))
-        return ideals, tuple(pareto), tuple(unit.items())
+        return ideals, tuple(pareto)
 
 
-def brute_force_max_corners(
-    ctx: Context,
-    ell1: int,
-    budget: SearchBudget | None = None,
-    require_corner_at_ell1: bool = True,
-    require_unit_values: bool = True,
-) -> TableCell:
-    """Maximal corner count over all ideals of initial degree l1.
+def brute_force_max_corners(ctx: Context, ell1: int,
+                            budget: SearchBudget | None = None) -> TableCell:
+    """Maximal corner count over the ideals of initial degree l1 whose
+    corner sequence starts in degree l1.
 
-    ``require_corner_at_ell1`` keeps only ideals whose corner sequence starts
-    in degree l1; for l1 >= 3 that corner must have homological index k >= 1
-    (the corner-sequence convention), while in degree 2 the degenerate
-    position (0, 2) is admitted, matching the small-n analysis.  With
-    ``require_unit_values`` every corner value must equal 1.  The cell also
-    records the unconstrained maximum and the number of ideals.
+    For l1 >= 3 that corner must have homological index k >= 1 (the
+    corner-sequence convention), while in degree 2 the degenerate position
+    (0, 2) is admitted, matching the small-n analysis.  Corners of every
+    Betti value count, as in the bound of the paper.  The cell also records
+    the maximum over all ideals of initial degree l1 (``unconstrained``)
+    and the number of ideals.
 
     The search is :class:`_CornerSearch` over the degrees above l1; the
     nonempty down-sets of degree l1 are combined with it here, where the
-    two requirements apply.  A value of None means no qualifying ideal
+    corner-at-l1 rule applies.  A value of None means no qualifying ideal
     exists (a dash in the tables).  On budget exhaustion the cell is marked
     partial and its value and ideal count are only lower bounds.
     """
@@ -447,26 +421,20 @@ def brute_force_max_corners(
         if ell1 <= max_spread_degree(ctx.n_vars, t):
             search = _CornerSearch(_layers(ctx, ell1, budget), budget)
             offset = t * (ell1 - 1) + 1
-            for (shadow, mm, one), mult in search.groups(0, 0).items():
+            for (shadow, mm), mult in search.groups(0, 0).items():
                 if mm < 0:
                     continue  # no generator in degree l1
-                count, above, above_unit = search.solve(1, shadow)
+                count, above = search.solve(1, shadow)
                 ideals += mult * count
                 k = mm - offset
                 top = max(r + (k > b) for b, r in above)
                 if unconstrained is None or top > unconstrained:
                     unconstrained = top
-                for b, r in (above_unit if require_unit_values else above):
-                    if k > b:  # degree l1 holds a corner
-                        if require_unit_values and not one:
-                            continue
-                        if require_corner_at_ell1 and ell1 >= 3 and k < 1:
-                            continue
-                        r += 1
-                    elif require_corner_at_ell1:
-                        continue
-                    if best is None or r > best:
-                        best = r
+                if ell1 >= 3 and k < 1:
+                    continue  # no corner of positive index in degree l1
+                for b, r in above:
+                    if k > b and (best is None or r + 1 > best):
+                        best = r + 1
     except BudgetExceededError:
         partial = True
     return TableCell(n=ctx.n_vars, t=t, ell1=ell1, value=best, provenance="brute-force",
@@ -485,8 +453,9 @@ def regenerate_table(
     Cells with n <= brute_force_upto are computed by exhaustive enumeration
     (within the budget), the rest by the closed formulas; the provenance
     field says which.  Exhaustive cells need l1 >= 2, where the tables
-    start: below that ConstructionInapplicableError is raised before any
-    cell is computed.
+    start, and formula cells need t >= 2, where the closed forms hold:
+    otherwise ConstructionInapplicableError is raised before any cell is
+    computed.
     """
     from .construction import max_corners
 
@@ -494,6 +463,9 @@ def regenerate_table(
         raise ConstructionInapplicableError(
             "exhaustive cells require initial degree >= 2, got initial "
             f"degree {ell1_range[0]}")
+    if brute_force_upto < n_range[1] and t < 2:
+        raise ConstructionInapplicableError(
+            f"formula cells require t >= 2, got t={t}")
 
     cells = []
     for ell1 in range(ell1_range[0], ell1_range[1] + 1):

@@ -187,19 +187,15 @@ def corner_stats(ideal):
     return corners
 
 
-# (require_corner_at_ell1, require_unit_values)
-FLAG_COMBINATIONS = ((True, True), (True, False), (False, True), (False, False))
-
-
 def walk_max_corners(ctx, ell1):
     """Maximal corner counts by walking every ideal (reference oracle).
 
-    Returns ``(ideals, unconstrained, values)``, where ``values`` maps each
-    pair in FLAG_COMBINATIONS to the maximum under those requirements, with
-    the meaning of :func:`tspread.brute_force_max_corners`.  Desk scale only.
+    Returns ``(ideals, unconstrained, value)``, with the meaning of
+    :func:`tspread.brute_force_max_corners`: ``value`` is the maximum over
+    the ideals whose first corner lies in degree l1, at k >= 1 when
+    l1 >= 3.  Desk scale only.
     """
-    values = dict.fromkeys(FLAG_COMBINATIONS)
-    unconstrained = None
+    value = unconstrained = None
     ideals = 0
     for ideal in enumerate_strongly_stable_ideals(ctx, ell1):
         ideals += 1
@@ -208,15 +204,9 @@ def walk_max_corners(ctx, ell1):
         if unconstrained is None or r > unconstrained:
             unconstrained = r
         k1, d1, _ = corners[0]
-        at_ell1 = d1 == ell1 and (ell1 < 3 or k1 >= 1)
-        unit = all(c == 1 for _, _, c in corners)
-        for need_corner, need_unit in FLAG_COMBINATIONS:
-            if (need_corner and not at_ell1) or (need_unit and not unit):
-                continue
-            best = values[need_corner, need_unit]
-            if best is None or r > best:
-                values[need_corner, need_unit] = r
-    return ideals, unconstrained, values
+        if d1 == ell1 and (ell1 < 3 or k1 >= 1) and (value is None or r > value):
+            value = r
+    return ideals, unconstrained, value
 
 
 def domination_closure(u, ctx):
@@ -369,7 +359,7 @@ def enumerate_borel_closed(ctx, d, budget=None):
     layer = oracle._Layer(ctx, d)
     meter = oracle._Meter(budget)
     out = []
-    for gens, _, _, _, _ in oracle._down_sets(layer):
+    for gens, _, _, _ in oracle._down_sets(layer):
         meter.charge()
         out.append(layer.members(gens))
     return out

@@ -187,6 +187,14 @@ class TestConstruct:
                                capsys)
         assert code == 3 and "no construction" in err
 
+    def test_degree_far_past_the_recursion_limit(self, capsys):
+        # 1,051 degrees from 1,000 up, each closure search 1,000+ positions deep
+        code, out, _ = run_cli(["construct", "-n", "2100", "-t", "2", "-l", "1000",
+                                "--format", "json"], capsys)
+        assert code == 0
+        gens = json.loads(out)["gens"]
+        assert len(gens[0]) == 1000 and len(gens[-1]) == 1050
+
     @pytest.mark.parametrize("n,t", [(46, 3), (300, 2)])
     def test_json_generators_written_as_arrays(self, capsys, n, t):
         code, out, _ = run_cli(["construct", "-n", str(n), "-t", str(t),
@@ -241,11 +249,37 @@ class TestTable:
         assert code == 3 and out == ""
         assert "initial degree 0" in err
 
+    @pytest.mark.parametrize("t", ["1", "0", "-3"])
+    def test_formula_cells_below_spread_two_exit_3(self, capsys, t):
+        code, out, err = run_cli(["table", "-t", t, "--n", "4:7", "--l", "2:3"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert f"t={t}" in err
+
+    def test_brute_force_cells_at_spread_one(self, capsys):
+        code, out, _ = run_cli(["table", "-t", "1", "--n", "4:7", "--l", "2:3",
+                                "--brute-force-upto", "7", "--format", "csv"],
+                               capsys)
+        assert code == 0
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == [
+            "2", "2", "3", "4", "1", "2", "3", "4"]
+
     def test_bad_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "-t", "2", "--n", "9:x", "--l", "2:2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("option,value,needle", [
+        ("--max-states", "0", "max_states"), ("--max-states", "-5", "max_states"),
+        ("--budget-seconds", "-1", "timeout"), ("--budget-seconds", "nan", "timeout"),
+    ])
+    def test_bad_budget_exits_2(self, capsys, option, value, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
+                  "--brute-force-upto", "9", option, value])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
 
 
 class TestValidate:

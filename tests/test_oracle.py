@@ -25,7 +25,7 @@ from tspread import construction, ideals, oracle
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.oracle import max_spread_degree
 
-from helpers import FLAG_COMBINATIONS, enumerate_borel_closed, walk_max_corners
+from helpers import enumerate_borel_closed, walk_max_corners
 
 
 def subset_filter_closed_sets(ctx, d):
@@ -215,37 +215,23 @@ class TestBruteForceMaxCorners:
         cell = brute_force_max_corners(Context(8, 2), 2)
         assert cell.unconstrained == 2
 
-    def test_flags(self):
-        # dropping the corner-at-ell1 requirement surfaces the boundary ideal
-        ctx = Context(5, 2)
-        free = brute_force_max_corners(ctx, 3, require_corner_at_ell1=False)
-        assert free.value == 1
-        # unit-value constraint never changes these small cells
-        for n in range(4, 9):
-            a = brute_force_max_corners(Context(n, 2), 2,
-                                        require_unit_values=True)
-            b = brute_force_max_corners(Context(n, 2), 2,
-                                        require_unit_values=False)
-            assert a.value == b.value
-
 
 def _completions(layers, li, required):
-    """(b, r, unit) for every choice of the layers from ``li`` up, walked one
-    by one: b the largest corner candidate, r the corner count, unit whether
-    every corner has value 1."""
+    """(b, r) for every choice of the layers from ``li`` up, walked one by
+    one: b the largest corner candidate, r the corner count."""
     if li == len(layers):
-        yield -1, 0, True
+        yield -1, 0
         return
     layer = layers[li]
     t = layer.ctx.spread_t
-    for gens, shadow, _, _, _ in oracle._down_sets(layer, required):
+    for gens, shadow, _, _ in oracle._down_sets(layer, required):
         lasts = [layer.maxval[p] for p in range(layer.size) if gens >> p & 1]
-        for b, r, unit in _completions(layers, li + 1, shadow):
+        for b, r in _completions(layers, li + 1, shadow):
             if lasts:
                 k = max(lasts) - t * (layer.d - 1) - 1
                 if k > b:
-                    b, r, unit = k, r + 1, unit and lasts.count(max(lasts)) == 1
-            yield b, r, unit
+                    b, r = k, r + 1
+            yield b, r
 
 
 class TestCornerSearch:
@@ -253,47 +239,38 @@ class TestCornerSearch:
 
     @pytest.mark.parametrize("n,t,ell1", [(6, 1, 2), (8, 2, 2), (9, 2, 3), (11, 3, 2)])
     def test_every_state_matches_its_completions(self, n, t, ell1):
-        # the maxima never depend on the value-1 requirement at desk scale, so
         # the states themselves are checked, fronts and all
         budget = SearchBudget()
         layers = oracle._layers(Context(n, t), ell1, budget)
         search = oracle._CornerSearch(layers, budget)
-        for shadow, _, _ in search.groups(0, 0):
+        for shadow, _ in search.groups(0, 0):
             search.solve(1, shadow)
         states = 0
         for li, memo in enumerate(search.memo):
-            for required, (ideals, front, unit) in memo.items():
-                triples = list(_completions(layers, li, required))
-                assert ideals == len(triples)
-                pareto = [(b, r) for b, r, _ in triples
+            for required, (ideals, front) in memo.items():
+                pairs = list(_completions(layers, li, required))
+                assert ideals == len(pairs)
+                pareto = [(b, r) for b, r in pairs
                           if not any(b2 <= b and r2 >= r and (b2, r2) != (b, r)
-                                     for b2, r2, _ in triples)]
+                                     for b2, r2 in pairs)]
                 assert sorted(front) == sorted(set(pareto))
-                best_unit = {}
-                for b, r, u in triples:
-                    if u and best_unit.get(b, -1) < r:
-                        best_unit[b] = r
-                assert dict(unit) == best_unit
                 states += 1
         assert states > 10
 
-    def test_value_one_requirement_binds_on_a_synthetic_pair(self):
-        # On real layers the value-1 requirement has never changed a state,
-        # so it is checked here on two made-up layers, each a two-element
-        # chain.  Degree 1: y < x, both with last index 6, so candidate 5;
-        # only x's shadow holds w.  Degree 2: w < u, candidates 7 and 3; u
-        # needs w.  Two corners need x in degree 1, whose corner then has
-        # value 2: (b, r) = (5, 2) is reachable, but only (5, 1) with value 1.
+    def test_front_counts_a_corner_of_value_two_on_a_synthetic_pair(self):
+        # Two made-up layers, each a two-element chain.  Degree 1: y < x,
+        # both with last index 6, so candidate 5; only x's shadow holds w.
+        # Degree 2: w < u, candidates 7 and 3; u needs w.  Two corners need
+        # x in degree 1, whose corner then has value 2: the front reaches
+        # (b, r) = (5, 2) only because such corners count.
         def layer(d, maxval, shadow):
             return SimpleNamespace(ctx=SimpleNamespace(spread_t=1), d=d,
                                    size=2, up=[0b11, 0b10], maxval=maxval,
                                    shadow=shadow)
 
         layers = [layer(1, [6, 6], [0, 0b01]), layer(2, [9, 5], [0, 0])]
-        ideals, front, unit = oracle._CornerSearch(layers, SearchBudget()).solve(0, 0)
-        assert ideals == 8
-        assert front == ((-1, 0), (5, 2))
-        assert dict(unit) == {-1: 0, 7: 1, 5: 1}
+        assert oracle._CornerSearch(layers, SearchBudget()).solve(0, 0) == (
+            8, ((-1, 0), (5, 2)))
 
     @pytest.mark.parametrize("frontier", [0, oracle._FRONTIER, 10**6])
     @pytest.mark.parametrize("n,t,ell1", [(8, 2, 2), (9, 2, 3), (11, 3, 2)])
@@ -309,8 +286,8 @@ class TestCornerSearch:
         for li, memo in enumerate(search.memo):
             for required in memo:
                 want = {}
-                for _, shadow, mm, cnt, _ in oracle._down_sets(layers[li], required):
-                    key = (shadow, mm, cnt == 1)
+                for _, shadow, mm, _ in oracle._down_sets(layers[li], required):
+                    key = (shadow, mm)
                     want[key] = want.get(key, 0) + 1
                 assert search.groups(li, required) == want, (li, required)
                 states += 1
@@ -322,13 +299,11 @@ class TestCornerSearch:
             for n in range(1, n_hi + 1):
                 ctx = Context(n, t)
                 for ell1 in range(1, max_spread_degree(n, t) + 1):
-                    ideals, unconstrained, values = walk_max_corners(ctx, ell1)
-                    for flags in FLAG_COMBINATIONS:
-                        cell = brute_force_max_corners(ctx, ell1, None, *flags)
-                        assert not cell.partial
-                        assert cell.ideals == ideals, (n, t, ell1)
-                        assert cell.unconstrained == unconstrained, (n, t, ell1)
-                        assert cell.value == values[flags], (n, t, ell1, flags)
+                    ideals, unconstrained, value = walk_max_corners(ctx, ell1)
+                    cell = brute_force_max_corners(ctx, ell1)
+                    assert not cell.partial
+                    assert (cell.ideals, cell.unconstrained, cell.value) == (
+                        ideals, unconstrained, value), (n, t, ell1)
                     cells += 1
         assert cells == 79  # every (n, t, l1) with a t-spread degree l1
 
@@ -357,7 +332,7 @@ class TestCornerSearch:
         def work():
             layers = oracle._layers(Context(n, t), ell1, SearchBudget())
             search = oracle._CornerSearch(layers, SearchBudget())
-            for shadow, mm, _ in search.groups(0, 0):
+            for shadow, mm in search.groups(0, 0):
                 if mm >= 0:
                     search.solve(1, shadow)
             return search.meter.used
@@ -442,6 +417,12 @@ class TestCornerSearch:
         with pytest.raises(ValueError):
             SearchBudget(max_states=0)
 
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+    def test_timeout_must_be_a_nonnegative_number(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            SearchBudget(timeout=timeout)
+        assert SearchBudget(timeout=0.0).timeout == 0.0
+
 
 class TestRegenerateTable:
     def test_formula_row(self):
@@ -464,6 +445,18 @@ class TestRegenerateTable:
         assert [c.value for c in regenerate_table(2, (5, 5), (0, 1))] == [None, None]
         cells = regenerate_table(2, (6, 6), (1, 2), brute_force_upto=5)
         assert [c.provenance for c in cells] == ["formula", "formula"]
+
+    @pytest.mark.parametrize("t", [1, 0, -3])
+    def test_formula_cells_below_spread_two_are_refused(self, t):
+        with pytest.raises(ConstructionInapplicableError, match=f"t={t}"):
+            regenerate_table(t, (4, 7), (2, 3))
+        with pytest.raises(ConstructionInapplicableError, match=f"t={t}"):
+            regenerate_table(t, (4, 7), (2, 3), brute_force_upto=6)
+
+    def test_brute_force_cells_at_spread_one(self):
+        cells = regenerate_table(1, (4, 7), (2, 3), brute_force_upto=7)
+        assert [c.value for c in cells] == [2, 2, 3, 4, 1, 2, 3, 4]
+        assert all(c.provenance == "brute-force" and not c.partial for c in cells)
 
     def test_brute_force_provenance(self):
         cells = regenerate_table(2, (4, 6), (2, 3), brute_force_upto=5)
