@@ -160,10 +160,25 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _budget_field(name: str, convert):
+    """An argparse type for one :class:`SearchBudget` field, which refuses
+    the values the budget refuses, so the subcommand's usage is printed."""
+    def parse(text: str):
+        value = convert(text)
+        try:
+            SearchBudget(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _budget_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-seconds", type=float, default=None,
-                   help="wall-clock cap on each search")
-    p.add_argument("--max-states", type=int, default=SearchBudget.max_states,
+    p.add_argument("--budget-seconds", type=_budget_field("timeout", float),
+                   default=None, help="wall-clock cap on each search")
+    p.add_argument("--max-states", type=_budget_field("max_states", int),
+                   default=SearchBudget.max_states,
                    help="cap on the work of each search (default %(default)s)")
 
 
@@ -223,11 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits 2 on bad arguments
-    if hasattr(args, "max_states"):  # a budget the searches refuse is a usage error
-        try:
-            args.budget = SearchBudget(args.max_states, args.budget_seconds)
-        except ValueError as exc:
-            parser.error(str(exc))
+    if hasattr(args, "max_states"):
+        args.budget = SearchBudget(args.max_states, args.budget_seconds)
     try:
         return args.func(args)
     except TSpreadError as exc:

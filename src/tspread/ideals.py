@@ -8,9 +8,9 @@ every closure here is one prefix-domination search, :func:`_dominated`, which
 derives minimal generators degree by degree.  The literal breadth-first search
 over the moves x_i * (u / x_j) is an independent oracle in the test suite.
 
-Minimalization, :meth:`SpreadIdeal.contains` and the stability gate share one
-membership structure, a prefix trie of the generators; the gate tests each
-unit decrement of a generator by one walk along its own path in the trie.
+Minimalization and the stability gate share one membership structure, a
+prefix trie of the generators; the gate tests each unit decrement of a
+generator by one walk along its own path in the trie.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ class SpreadIdeal:
     def all_generators(self) -> list[Monomial]:
         """Every minimal generator, ascending by degree then slex-descending."""
         return [u for d in sorted(self.gens) for u in self.gens[d]]
-
-    def contains(self, u: Monomial) -> bool:
-        """Membership of a monomial: some minimal generator divides it."""
-        trie: dict = {}
-        _trie_add(trie, self.all_generators())
-        return _divisible(trie, u)
 
     def to_json(self) -> str:
         payload = {
@@ -252,17 +246,22 @@ def shadow(monomial_set, ctx: Context) -> list[Monomial]:
     monomial_set = list(monomial_set)
     if len({len(w) for w in monomial_set}) > 1:
         raise InvalidMonomialError("shadow input must share one degree")
-    t = ctx.spread_t
     out = set()
     for w in monomial_set:
-        if not is_t_spread(w, ctx):
-            continue  # inserting an index only narrows the gaps
-        # x_i fits between neighbours a < b iff i - a >= t and b - i >= t
-        bounds = (1 - t,) + w + (ctx.n_vars + t,)
-        for p in range(len(w) + 1):
-            for i in range(bounds[p] + t, bounds[p + 1] - t + 1):
-                out.add(w[:p] + (i,) + w[p:])
+        if is_t_spread(w, ctx):  # inserting an index only narrows the gaps
+            out.update(_insertions(w, ctx.n_vars, ctx.spread_t))
     return slex_sorted(out)
+
+
+def _insertions(w: Monomial, n: int, t: int):
+    """The t-spread monomials x_i * w, i not in w, of a t-spread w in n
+    variables, each once: x_i fits between neighbours a < b iff
+    i - a >= t and b - i >= t."""
+    bounds = (1 - t,) + w + (n + t,)
+    for p in range(len(w) + 1):
+        head, tail = w[:p], w[p:]
+        for i in range(bounds[p] + t, bounds[p + 1] - t + 1):
+            yield head + (i,) + tail
 
 
 def generator_move_violation(ideal: SpreadIdeal):

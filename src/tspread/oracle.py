@@ -10,14 +10,13 @@ minimal generators in degree l are the chosen down-set minus the shadow.
 Each Borel-closed set is held as a bitmask over the slex-sorted monomial
 list of its degree, and one depth-first pass, :func:`_down_sets`, lists them.
 :func:`enumerate_strongly_stable_ideals` walks the chains one ideal at a
-time; :func:`brute_force_max_corners` runs a dynamic program over
-(degree, required shadow) states instead, which counts the same ideals
-exactly without visiting them one by one.  Its states share the down-sets
-of equal sets of undecided monomials instead of listing them again, the
-idea of zero-suppressed decision diagrams (Minato, DAC 1993; Knuth, TAOCP
-4A, 7.1.4).  Both routes are independent of every closed formula in
-:mod:`tspread.construction`, which is the point: the two routes are
-compared cell by cell in :func:`cross_validate`.
+time.  :func:`brute_force_max_corners` needs only the corners, which depend
+on the largest last index of the generators in each degree, so it searches
+the principal closures B_t(u_l1, u_l1+1, ...) with at most one generator
+per degree, memoised over (degree, required shadow) states; see
+:class:`_PrincipalSearch` for why that reaches the maximum.  Both routes are
+independent of every closed formula in :mod:`tspread.construction`, which is
+the point: they are compared cell by cell in :func:`cross_validate`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
                      InvariantViolationError)
-from .ideals import SpreadIdeal, shadow as shadow_of
+from .ideals import SpreadIdeal, _insertions
 from .monomials import Context, Monomial, spread_count, spread_monomials
 
 # the most variables the oracle takes: layer builds grow with the square of
@@ -48,11 +47,12 @@ class SearchBudget:
 
     ``max_states`` caps the units a search charges to its :class:`_Meter`:
     the walk of :func:`enumerate_strongly_stable_ideals` one per ideal it
-    yields, the max-corner search one per node and per family entry, and
-    check (a) of :func:`cross_validate` one per monomial of the layer for
-    each closure compared.  Entries, not bytes: a family entry holds a
-    shadow mask as wide as the next layer.  Layers whose masks would need
-    more than ``8 * max_states`` bits are refused before any is built.
+    yields, the max-corner search one per candidate closure of each state
+    it solves, and check (a) of :func:`cross_validate` one per monomial of
+    the layer for each closure compared.  Units, not bytes: a candidate
+    holds a shadow mask as wide as the next layer.  Layers whose masks
+    would need more than ``8 * max_states`` bits are refused before any is
+    built.
     ``timeout`` is in wall-clock seconds per search; with it set the clock
     is read at every charge, else never.
     """
@@ -105,15 +105,15 @@ class TableCell:
     ell1: int
     value: int | None
     provenance: str = ""
-    partial: bool = False  # True: enumeration aborted, value is a lower bound
+    partial: bool = False  # True: search aborted, value is a lower bound
     unconstrained: int | None = None
-    ideals: int | None = None  # ideals counted; a lower bound when partial
 
 
 class _Layer:
-    """M_{n,d,t} with bitmask machinery: per monomial, its up-set in the move
-    order (itself and every monomial reached by raising indices) and its
-    shadow in the next layer."""
+    """M_{n,d,t} with bitmask machinery: per monomial u, its up-set in the
+    move order (itself and every monomial reached by raising indices) and
+    the shadow in the next layer of its down-set, written ↓u (itself and
+    every monomial reached by lowering indices)."""
 
     def __init__(self, ctx: Context, d: int):
         self.ctx = ctx
@@ -124,21 +124,29 @@ class _Layer:
         self.maxval = [u[-1] if u else 0 for u in self.monomials]
         t = ctx.spread_t
         # an immediate predecessor decrements one index and sits earlier in
-        # the list, so up-sets are complete when filled in from the end
+        # the list; it never has the larger last index
+        self.preds = [[self.index[u[:p] + (u[p] - 1,) + u[p + 1:]]
+                       for p in range(len(u))
+                       if u[p] > 1 and (p == 0 or u[p] - 1 - u[p - 1] >= t)]
+                      for u in self.monomials]
+        # so up-sets are complete when filled in from the end
         up = [1 << q for q in range(self.size)]
         for q in reversed(range(self.size)):
-            u = self.monomials[q]
-            for p in range(len(u)):
-                v = u[p] - 1
-                if v < 1 or (p > 0 and v - u[p - 1] < t):
-                    continue
-                up[self.index[u[:p] + (v,) + u[p + 1:]]] |= up[q]
+            for p in self.preds[q]:
+                up[p] |= up[q]
         self.up = up
-        self.shadow = [0] * self.size  # masks into the next layer, see link
+        self.down_shadow = [0] * self.size  # masks into the next layer, see link
 
     def link(self, nxt: "_Layer") -> None:
-        self.shadow = [sum(1 << nxt.index[v] for v in shadow_of([u], self.ctx))
-                       for u in self.monomials]
+        """Fill in ``down_shadow``: the shadow of ↓u is that of u joined with
+        those of its immediate predecessors, which come first."""
+        down_shadow, index = self.down_shadow, nxt.index
+        n, t = self.ctx.n_vars, self.ctx.spread_t
+        for q, u in enumerate(self.monomials):
+            mask = sum(1 << index[v] for v in _insertions(u, n, t))
+            for p in self.preds[q]:
+                mask |= down_shadow[p]
+            down_shadow[q] = mask
 
     def members(self, mask: int) -> list[Monomial]:
         """Monomials of a bitmask, slex-descending."""
@@ -153,8 +161,8 @@ class _Layer:
 def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
     """Refuse layers of the given sizes, each above the next, whose masks
     would hold more than ``8 * budget.max_states`` bits: a layer of a
-    monomials above one of b holds a up-sets and a shadows, a * (a + b)
-    bits, so the masks grow with the square of the layer sizes."""
+    monomials above one of b holds a up-sets and a down-set shadows,
+    a * (a + b) bits, so the masks grow with the square of the layer sizes."""
     bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
     if bits > 8 * budget.max_states:
         raise BudgetExceededError(
@@ -190,38 +198,33 @@ def _union(masks: list[int], bits: int) -> int:
     return out
 
 
-def _down_sets(layer: _Layer, required: int = 0, frontier: int = 0):
+def _down_sets(layer: _Layer, required: int = 0):
     """Every down-set D of the move order that contains ``required``.
 
-    Yields ``(gens, shadow, mm, free)``: the bitmask of D minus
-    ``required`` (the new generators), the shadow of D in the next layer,
-    the largest last index among the new generators (-1 if there are none),
-    and the elements left undecided, none unless ``frontier`` is set.
-    ``required`` must itself be a down-set, which every shadow is.
+    Yields ``(gens, shadow)``: the bitmask of D minus ``required`` (the new
+    generators) and the shadow of D in the next layer.  ``required`` must
+    itself be a down-set, which every shadow is.
 
     Elements are indexed slex-descending, a linear extension of the move
     order, and the search decides them lowest index first.  Excluding an
     element takes its whole up-set out of play, so the lowest undecided
     element always has all its predecessors in D and both branches are
     legal: the search tree has exactly one leaf per down-set, and the
-    shadow and mm are carried down it incrementally.  The exclude branch
-    is taken first.  With ``frontier`` the search stops at the nodes where
-    at most that many elements are undecided and yields them instead;
-    their down-sets are those of D plus a down-set of ``free``.
+    shadow is carried down it incrementally.  The exclude branch is taken
+    first.
     """
-    up, link, maxval = layer.up, layer.shadow, layer.maxval
+    up, down_shadow = layer.up, layer.down_shadow
     free = ((1 << layer.size) - 1) & ~required
-    stack = [(free, 0, _union(link, required), -1)]
+    stack = [(free, 0, _union(down_shadow, required))]
     pop, push = stack.pop, stack.append
     while stack:
-        free, gens, shadow, mm = pop()
-        while free.bit_count() > frontier:
+        free, gens, shadow = pop()
+        while free:
             low = free & -free
             p = low.bit_length() - 1
-            v = maxval[p]
-            push((free ^ low, gens | low, shadow | link[p], v if v > mm else mm))
+            push((free ^ low, gens | low, shadow | down_shadow[p]))
             free &= ~up[p]
-        yield gens, shadow, mm, free
+        yield gens, shadow
 
 
 def _walk_chains(layers: list[_Layer], budget: SearchBudget):
@@ -238,7 +241,7 @@ def _walk_chains(layers: list[_Layer], budget: SearchBudget):
 
     def rec(li: int, required: int, chain: list):
         layer = layers[li]
-        for gens, shadow, _, _ in _down_sets(layer, required):
+        for gens, shadow in _down_sets(layer, required):
             if li == 0 and gens == 0:
                 continue
             link = chain + [(layer.d, gens, layer)] if gens else chain
@@ -266,18 +269,11 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
         yield SpreadIdeal(ctx, gens)
 
 
-# solve() past the top layer: one (empty) choice, no corner, no candidate
-_TOP = (1, ((-1, 0),))
-
-# free sets of at most this many elements take their down-sets from a shared
-# family; memoising larger ones saves little time and costs memory
-_FRONTIER = 12
-
-# search nodes between two charges to the meter
-_CHECK_EVERY = 4096
+# solve() past the top layer: one (empty) choice, no corner candidate, no corner
+_TOP = ((-1, 0),)
 
 
-class _CornerSearch:
+class _PrincipalSearch:
     """Memoised max-corner search over (layer, required shadow) states.
 
     Corners are read top-down: the new generators of degree l give the
@@ -288,80 +284,59 @@ class _CornerSearch:
 
     ``solve(li, required)`` covers every choice of the layers from ``li`` up
     with the down-set of layer ``li`` containing ``required``.  It returns
-    ``(ideals, front)``: the exact number of such choices and the pairs
-    (b, r) that are not dominated, sorted by b.
-
-    Dominance: (b, r) beats (b', r') when b <= b' and r >= r'.  A layer
-    below with candidate k keeps it.  If k > b', both become (k, r + 1) and
+    the pairs (b, r) that are not dominated, sorted by b.  Dominance:
+    (b, r) beats (b', r') when b <= b' and r >= r'.  A layer below with
+    candidate k keeps it.  If k > b', both become (k, r + 1) and
     (k, r' + 1); if b < k <= b', they become (k, r + 1) and (b', r'), with
     k <= b'; if k <= b, both stay.  So the best r, with or without a corner
     in the initial degree (k > b), is read off the front.
+
+    One generator per degree suffices.  A lowered index never raises the
+    last one, so every monomial of ↓u has a last index of at most max(u).
+    Take required shadows R ⊆ R' and a down-set D ⊇ R' whose new
+    generators, D minus R', have the largest last index mm.  If D has
+    none, the candidate D = R has none either and a shadow inside that of
+    D.  Otherwise pick a new generator u with max(u) = mm: u is not in R,
+    so the candidate D = R ∪ ↓u has new generators of largest last index
+    mm too, and its shadow, shadow(R) ∪ shadow(↓u), lies inside that of D.
+    Either way the candidate has the k of D, so by induction from the top
+    layer, whose front is fixed, every pair reached above R' is dominated
+    by one that the candidates reach above R.  With R = R', the candidates
+    D = R and D = R ∪ ↓u for u not in R reach the whole front: the search
+    ranges over the ideals B_t(u_l1, u_l1+1, ...) with at most one
+    generator u_l per degree, the shape of the witnesses of the paper.  By
+    the same lemma, of the candidates of one mm only the ⊆-minimal shadows
+    are kept: each other one has a kept one inside it and the same k.
     """
 
     def __init__(self, layers: list[_Layer], budget: SearchBudget):
         self.layers = layers
-        self.meter = _Meter(budget)  # nodes and family entries
+        self.meter = _Meter(budget)  # one unit per (state, candidate)
         self.memo: list[dict] = [{} for _ in layers]
-        self.families: list[dict] = [{} for _ in layers]
 
-    def groups(self, li: int, required: int) -> dict:
-        """Down-sets of layer ``li`` containing ``required``, counted per
-        (shadow, mm).
-
-        :func:`_down_sets` runs only until at most ``_FRONTIER`` elements
-        are free.  Equal nodes at that depth are merged with multiplicities,
-        and the down-sets below each are read from :meth:`_family`,
-        memoised per layer.  Layer 0 has the one state ``required == 0``,
-        so its families are dropped after it.  The nodes are charged to
-        ``max_states`` in batches of at most ``_CHECK_EVERY``, which ends
-        at the cap exactly.
-        """
+    def choices(self, li: int, required: int) -> dict[int, list[int]]:
+        """The ⊆-minimal shadows of the candidates of layer ``li`` above
+        ``required``, per largest last index mm of their new generators
+        (-1 for the candidate without any)."""
         layer = self.layers[li]
-        families = self.families[li] if li else {}
-        meter = self.meter
-        nodes = charged = mark = 0
-        leaves: dict[tuple[int, int, int], int] = {}
-        for _, shadow, mm, free in _down_sets(layer, required, _FRONTIER):
-            nodes += 1
-            if nodes > mark:
-                meter.charge(nodes - charged)
-                charged = nodes
-                mark = nodes + min(meter.budget.max_states - meter.used,
-                                   _CHECK_EVERY)
-            leaf = (free, shadow, mm)
-            leaves[leaf] = leaves.get(leaf, 0) + 1
-        meter.charge(nodes - charged)
-        groups: dict[tuple[int, int], int] = {}
-        for (free, shadow, mm), mult in leaves.items():
-            for (extra, fm), count in self._family(families, layer, free).items():
-                key = (shadow | extra, fm if fm > mm else mm)
-                groups[key] = groups.get(key, 0) + mult * count
-        return groups
-
-    def _family(self, memo: dict, layer: _Layer, free: int) -> dict:
-        """The down-sets D of the free elements ``free``, counted per
-        (shadow of D, largest last index in D).
-
-        Built by the include/exclude recursion of :func:`_down_sets`.  It
-        depends on ``free`` alone, so ``memo`` holds it for every state of
-        the layer.  Each entry built is charged to ``max_states``.
-        """
-        family = memo.get(free)
-        if family is not None:
-            return family
-        if not free:
-            family = {(0, -1): 1}
-        else:
+        down_shadow, maxval = layer.down_shadow, layer.maxval
+        base = _union(down_shadow, required)
+        free = ((1 << layer.size) - 1) & ~required
+        self.meter.charge(1 + free.bit_count())
+        shadows: dict[int, set[int]] = {-1: {base}}
+        while free:
             low = free & -free
             p = low.bit_length() - 1
-            family = dict(self._family(memo, layer, free & ~layer.up[p]))
-            extra, v = layer.shadow[p], layer.maxval[p]
-            for (shadow, fm), count in self._family(memo, layer, free ^ low).items():
-                entry = (shadow | extra, max(v, fm))
-                family[entry] = family.get(entry, 0) + count
-        memo[free] = family
-        self.meter.charge(len(family))
-        return family
+            shadows.setdefault(maxval[p], set()).add(base | down_shadow[p])
+            free ^= low
+        minimal = {}
+        for mm, group in shadows.items():
+            kept: list[int] = []
+            for shadow in sorted(group, key=int.bit_count):  # subsets first
+                if all(k & ~shadow for k in kept):
+                    kept.append(shadow)
+            minimal[mm] = kept
+        return minimal
 
     def solve(self, li: int, required: int):
         if li == len(self.layers):
@@ -375,22 +350,20 @@ class _CornerSearch:
     def _solve(self, li: int, required: int):
         layer = self.layers[li]
         offset = layer.ctx.spread_t * (layer.d - 1) + 1
-        ideals = 0
         front: dict[int, int] = {}
-        for (shadow, mm), mult in self.groups(li, required).items():
-            count, above = self.solve(li + 1, shadow)
-            ideals += mult * count
+        for mm, shadows in self.choices(li, required).items():
             k = mm - offset if mm >= 0 else -1
-            for b, r in above:
-                if k > b:
-                    b, r = k, r + 1
-                if front.get(b, -1) < r:
-                    front[b] = r
+            for shadow in shadows:
+                for b, r in self.solve(li + 1, shadow):
+                    if k > b:
+                        b, r = k, r + 1
+                    if front.get(b, -1) < r:
+                        front[b] = r
         pareto = []
         for b in sorted(front):
             if not pareto or front[b] > pareto[-1][1]:
                 pareto.append((b, front[b]))
-        return ideals, tuple(pareto)
+        return tuple(pareto)
 
 
 def brute_force_max_corners(ctx: Context, ell1: int,
@@ -402,43 +375,41 @@ def brute_force_max_corners(ctx: Context, ell1: int,
     corner-sequence convention), while in degree 2 the degenerate position
     (0, 2) is admitted, matching the small-n analysis.  Corners of every
     Betti value count, as in the bound of the paper.  The cell also records
-    the maximum over all ideals of initial degree l1 (``unconstrained``)
-    and the number of ideals.
+    the maximum over all ideals of initial degree l1 (``unconstrained``).
 
-    The search is :class:`_CornerSearch` over the degrees above l1; the
-    nonempty down-sets of degree l1 are combined with it here, where the
+    The search is :class:`_PrincipalSearch` over the degrees above l1; its
+    candidates in degree l1 are combined with it here, where the
     corner-at-l1 rule applies.  A value of None means no qualifying ideal
     exists (a dash in the tables).  On budget exhaustion the cell is marked
-    partial and its value and ideal count are only lower bounds.
+    partial and its values are only lower bounds.
     """
     budget = budget or SearchBudget()
     t = ctx.spread_t
     best: int | None = None
     unconstrained: int | None = None
-    ideals = 0
     partial = False
     try:
         if ell1 <= max_spread_degree(ctx.n_vars, t):
-            search = _CornerSearch(_layers(ctx, ell1, budget), budget)
+            search = _PrincipalSearch(_layers(ctx, ell1, budget), budget)
             offset = t * (ell1 - 1) + 1
-            for (shadow, mm), mult in search.groups(0, 0).items():
+            for mm, shadows in search.choices(0, 0).items():
                 if mm < 0:
                     continue  # no generator in degree l1
-                count, above = search.solve(1, shadow)
-                ideals += mult * count
                 k = mm - offset
-                top = max(r + (k > b) for b, r in above)
-                if unconstrained is None or top > unconstrained:
-                    unconstrained = top
-                if ell1 >= 3 and k < 1:
-                    continue  # no corner of positive index in degree l1
-                for b, r in above:
-                    if k > b and (best is None or r + 1 > best):
-                        best = r + 1
+                for shadow in shadows:
+                    above = search.solve(1, shadow)
+                    top = max(r + (k > b) for b, r in above)
+                    if unconstrained is None or top > unconstrained:
+                        unconstrained = top
+                    if ell1 >= 3 and k < 1:
+                        continue  # no corner of positive index in degree l1
+                    for b, r in above:
+                        if k > b and (best is None or r + 1 > best):
+                            best = r + 1
     except BudgetExceededError:
         partial = True
     return TableCell(n=ctx.n_vars, t=t, ell1=ell1, value=best, provenance="brute-force",
-                     partial=partial, unconstrained=unconstrained, ideals=ideals)
+                     partial=partial, unconstrained=unconstrained)
 
 
 def regenerate_table(
@@ -545,8 +516,10 @@ def cross_validate(
         corners read off the Betti table of the constructed ideal sit at
         (n - t(l-1) - 1, l) for l = l1, l1 + 1, ..., one per witness, with
         value 1; a construction that fails its own verification makes the
-        record fail; the brute-force search must also count exactly the
-        ideals of (b).
+        record fail; when neither the search nor the walk of (b) stopped
+        early, the brute-force maximum must also equal the largest corner
+        count read off the Betti tables of (b), over the walked ideals
+        whose first corner lies in degree l1 (at k >= 1 when l1 >= 3).
 
     Each check runs under its own meter of ``budget``; exhaustion marks the
     affected record and the report as partial.
@@ -594,6 +567,7 @@ def cross_validate(
                 # (b) corner-method agreement on the enumerated ideals
                 agree = True
                 cases = 0
+                walked = None  # the largest count of (c), read off the tables
                 partial = False
                 try:
                     for ideal in enumerate_strongly_stable_ideals(ctx, ell1, budget):
@@ -604,6 +578,10 @@ def cross_validate(
                             ideal, check_stability=False)
                         if via_table != via_gens:
                             agree = False
+                        k1, l1 = via_table.corners[0]
+                        if (l1 == ell1 and (ell1 < 3 or k1 >= 1)
+                                and (walked is None or len(via_table.corners) > walked)):
+                            walked = len(via_table.corners)
                 except BudgetExceededError:
                     partial = report.partial = True
                 report.records.append({
@@ -638,8 +616,8 @@ def cross_validate(
                 ok = built == formula and corners_ok
                 if not cell.partial:
                     ok = ok and cell.value == formula
-                    if not partial:  # (b) walked the ideals the search counted
-                        ok = ok and cell.ideals == cases
+                    if not partial:  # (b) walked every ideal the search covers
+                        ok = ok and cell.value == walked
                 elif cell.value is not None and formula is not None:
                     ok = ok and cell.value <= formula  # partial: lower bound
                 report.records.append({

@@ -4,10 +4,11 @@ The oracles are deliberately independent of the library's fast paths:
 subset filters, breadth-first closures over the moves, componentwise-
 domination closures, the basis-walk stability test, the literal scan for the
 first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
-walk, and hand-transcribed golden values.  The utilities are
-small functions only the tests need: index helpers, the slex successor with
-a fixed last index, the iterated shadow, and the Borel-closed sets of one
-degree listed by the library's down-set search.
+walk, the max-corner dynamic program over every down-set, and
+hand-transcribed golden values.  The utilities are small functions only the
+tests need: index helpers, membership by divisibility, the slex successor
+with a fixed last index, the iterated shadow, and the Borel-closed sets of
+one degree listed by the library's down-set search.
 """
 
 from functools import lru_cache
@@ -209,6 +210,167 @@ def walk_max_corners(ctx, ell1):
     return ideals, unconstrained, value
 
 
+# free sets of at most this many elements take their down-sets from a shared
+# family; memoising larger ones saves little time and costs memory
+DP_FRONTIER = 12
+
+# search nodes between two charges to the meter
+DP_CHECK_EVERY = 4096
+
+
+def frontier_down_sets(layer, required, frontier):
+    """The include/exclude search of ``oracle._down_sets``, stopped at the
+    nodes where at most ``frontier`` elements are undecided.
+
+    Yields ``(shadow, mm, free)`` per node: the shadow of the down-set D
+    decided so far, the largest last index among its new generators (-1 if
+    none) and the undecided elements, whose down-sets extend D.
+    """
+    up, down_shadow, maxval = layer.up, layer.down_shadow, layer.maxval
+    free = ((1 << layer.size) - 1) & ~required
+    stack = [(free, oracle._union(down_shadow, required), -1)]
+    while stack:
+        free, shadow, mm = stack.pop()
+        while free.bit_count() > frontier:
+            low = free & -free
+            p = low.bit_length() - 1
+            stack.append((free ^ low, shadow | down_shadow[p], max(mm, maxval[p])))
+            free &= ~up[p]
+        yield shadow, mm, free
+
+
+class CornerDP:
+    """Max-corner dynamic program over every down-set (reference oracle).
+
+    The same (layer, required shadow) states and Pareto fronts of (b, r) as
+    ``oracle._PrincipalSearch``, but each state ranges over every down-set
+    containing the required shadow, not one principal closure per degree,
+    so it also counts the ideals exactly.  Unlike the principal search it
+    needs no order between the last indices of a layer.
+
+    ``solve(li, required)`` returns ``(ideals, front)``.  :meth:`groups`
+    lists the down-sets of a state until at most ``DP_FRONTIER`` elements
+    are free, merges equal nodes with multiplicities, and reads the
+    down-sets below each from :meth:`family`, memoised per layer as in a
+    zero-suppressed decision diagram (Minato, DAC 1993).  Nodes are charged
+    to one ``oracle._Meter`` in batches of at most ``DP_CHECK_EVERY``, which
+    ends at the cap exactly, and each family entry built is charged too.
+    """
+
+    def __init__(self, layers, budget):
+        self.layers = layers
+        self.meter = oracle._Meter(budget)
+        self.memo = [{} for _ in layers]
+        self.families = [{} for _ in layers]
+
+    def groups(self, li, required):
+        """Down-sets of layer ``li`` containing ``required``, counted per
+        (shadow, mm)."""
+        layer = self.layers[li]
+        families = self.families[li] if li else {}  # layer 0 has one state
+        meter = self.meter
+        nodes = charged = mark = 0
+        leaves = {}
+        for shadow, mm, free in frontier_down_sets(layer, required, DP_FRONTIER):
+            nodes += 1
+            if nodes > mark:
+                meter.charge(nodes - charged)
+                charged = nodes
+                mark = nodes + min(meter.budget.max_states - meter.used,
+                                   DP_CHECK_EVERY)
+            leaf = (free, shadow, mm)
+            leaves[leaf] = leaves.get(leaf, 0) + 1
+        meter.charge(nodes - charged)
+        groups = {}
+        for (free, shadow, mm), mult in leaves.items():
+            for (extra, fm), count in self.family(families, layer, free).items():
+                key = (shadow | extra, max(fm, mm))
+                groups[key] = groups.get(key, 0) + mult * count
+        return groups
+
+    def family(self, memo, layer, free):
+        """The down-sets of the free elements ``free``, counted per (shadow,
+        largest last index); it depends on ``free`` alone."""
+        family = memo.get(free)
+        if family is not None:
+            return family
+        if not free:
+            family = {(0, -1): 1}
+        else:
+            low = free & -free
+            p = low.bit_length() - 1
+            family = dict(self.family(memo, layer, free & ~layer.up[p]))
+            extra, v = layer.down_shadow[p], layer.maxval[p]
+            for (shadow, fm), count in self.family(memo, layer, free ^ low).items():
+                entry = (shadow | extra, max(v, fm))
+                family[entry] = family.get(entry, 0) + count
+        memo[free] = family
+        self.meter.charge(len(family))
+        return family
+
+    def solve(self, li, required):
+        if li == len(self.layers):
+            return 1, ((-1, 0),)
+        memo = self.memo[li]
+        if required not in memo:
+            memo[required] = self._solve(li, required)
+        return memo[required]
+
+    def _solve(self, li, required):
+        layer = self.layers[li]
+        offset = layer.ctx.spread_t * (layer.d - 1) + 1
+        ideals = 0
+        front = {}
+        for (shadow, mm), mult in self.groups(li, required).items():
+            count, above = self.solve(li + 1, shadow)
+            ideals += mult * count
+            k = mm - offset if mm >= 0 else -1
+            for b, r in above:
+                if k > b:
+                    b, r = k, r + 1
+                if front.get(b, -1) < r:
+                    front[b] = r
+        pareto = []
+        for b in sorted(front):
+            if not pareto or front[b] > pareto[-1][1]:
+                pareto.append((b, front[b]))
+        return ideals, tuple(pareto)
+
+
+def dp_max_corners(ctx, ell1, budget=None):
+    """``(ideals, unconstrained, value)`` of :func:`walk_max_corners`, by
+    :class:`CornerDP`; raises BudgetExceededError when a cap is hit."""
+    budget = budget or SearchBudget()
+    value = unconstrained = None
+    ideals = 0
+    if ell1 > oracle.max_spread_degree(ctx.n_vars, ctx.spread_t):
+        return ideals, unconstrained, value
+    search = CornerDP(oracle._layers(ctx, ell1, budget), budget)
+    offset = ctx.spread_t * (ell1 - 1) + 1
+    for (shadow, mm), mult in search.groups(0, 0).items():
+        if mm < 0:
+            continue  # no generator in degree l1
+        count, above = search.solve(1, shadow)
+        ideals += mult * count
+        k = mm - offset
+        top = max(r + (k > b) for b, r in above)
+        if unconstrained is None or top > unconstrained:
+            unconstrained = top
+        if ell1 >= 3 and k < 1:
+            continue
+        for b, r in above:
+            if k > b and (value is None or r + 1 > value):
+                value = r + 1
+    return ideals, unconstrained, value
+
+
+def contains(ideal, u):
+    """Membership of a monomial in an ideal: some minimal generator divides
+    it, tested against every generator."""
+    support = set(u)
+    return any(set(g) <= support for g in ideal.all_generators())
+
+
 def domination_closure(u, ctx):
     """Members of M_{n,deg,t} dominated componentwise by u (closure oracle)."""
     return [v for v in spread_monomials(ctx, len(u))
@@ -359,7 +521,7 @@ def enumerate_borel_closed(ctx, d, budget=None):
     layer = oracle._Layer(ctx, d)
     meter = oracle._Meter(budget)
     out = []
-    for gens, _, _, _ in oracle._down_sets(layer):
+    for gens, _ in oracle._down_sets(layer):
         meter.charge()
         out.append(layer.members(gens))
     return out

@@ -146,7 +146,7 @@ def test_criterion_5_table_regeneration_by_formula():
 def test_criterion_6_brute_force_corroboration():
     with _Criterion(6, "exhaustive enumeration reproduces the table cells",
                     limit_seconds=600.0):
-        for table, t, n_hi in ((TABLE_T2, 2, 11), (TABLE_T3, 3, 14)):
+        for table, t, n_hi in ((TABLE_T2, 2, 14), (TABLE_T3, 3, 17)):
             for n, _, ell1, want in table_cells(table, t):
                 if n > n_hi:
                     continue

@@ -279,7 +279,9 @@ class TestTable:
             main(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
                   "--brute-force-upto", "9", option, value])
         assert exc.value.code == 2
-        assert needle in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert needle in err
+        assert err.startswith("usage: tspread table")
 
 
 class TestValidate:

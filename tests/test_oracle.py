@@ -25,7 +25,9 @@ from tspread import construction, ideals, oracle
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.oracle import max_spread_degree
 
-from helpers import enumerate_borel_closed, walk_max_corners
+import helpers
+from helpers import (DP_FRONTIER, CornerDP, dp_max_corners, enumerate_borel_closed,
+                     walk_max_corners)
 
 
 def subset_filter_closed_sets(ctx, d):
@@ -215,6 +217,12 @@ class TestBruteForceMaxCorners:
         cell = brute_force_max_corners(Context(8, 2), 2)
         assert cell.unconstrained == 2
 
+    def test_reach_13_2_2(self):
+        # the dynamic program over every down-set ran out of states here
+        cell = brute_force_max_corners(Context(13, 2), 2)
+        assert not cell.partial
+        assert (cell.value, cell.unconstrained) == (5, 5)
+
 
 def _completions(layers, li, required):
     """(b, r) for every choice of the layers from ``li`` up, walked one by
@@ -224,7 +232,7 @@ def _completions(layers, li, required):
         return
     layer = layers[li]
     t = layer.ctx.spread_t
-    for gens, shadow, _, _ in oracle._down_sets(layer, required):
+    for gens, shadow in oracle._down_sets(layer, required):
         lasts = [layer.maxval[p] for p in range(layer.size) if gens >> p & 1]
         for b, r in _completions(layers, li + 1, shadow):
             if lasts:
@@ -234,61 +242,81 @@ def _completions(layers, li, required):
             yield b, r
 
 
+def _principal_work(n, t, ell1):
+    """Units the principal search charges for one cell, run as
+    brute_force_max_corners runs it."""
+    search = oracle._PrincipalSearch(oracle._layers(Context(n, t), ell1, SearchBudget()),
+                                     SearchBudget())
+    for mm, shadows in search.choices(0, 0).items():
+        if mm >= 0:
+            for shadow in shadows:
+                search.solve(1, shadow)
+    return search.meter.used
+
+
 class TestCornerSearch:
-    """The memoised search against the one-ideal-at-a-time walk."""
+    """The principal search and the dynamic program over every down-set
+    against the one-ideal-at-a-time walk and each other."""
 
     @pytest.mark.parametrize("n,t,ell1", [(6, 1, 2), (8, 2, 2), (9, 2, 3), (11, 3, 2)])
     def test_every_state_matches_its_completions(self, n, t, ell1):
         # the states themselves are checked, fronts and all
         budget = SearchBudget()
         layers = oracle._layers(Context(n, t), ell1, budget)
-        search = oracle._CornerSearch(layers, budget)
-        for shadow, _ in search.groups(0, 0):
-            search.solve(1, shadow)
-        states = 0
-        for li, memo in enumerate(search.memo):
-            for required, (ideals, front) in memo.items():
-                pairs = list(_completions(layers, li, required))
-                assert ideals == len(pairs)
-                pareto = [(b, r) for b, r in pairs
-                          if not any(b2 <= b and r2 >= r and (b2, r2) != (b, r)
-                                     for b2, r2 in pairs)]
-                assert sorted(front) == sorted(set(pareto))
-                states += 1
-        assert states > 10
+        principal, dp = oracle._PrincipalSearch(layers, budget), CornerDP(layers, budget)
+        principal.solve(0, 0)
+        dp.solve(0, 0)
+        for memo, counted in ((principal.memo, False), (dp.memo, True)):
+            states = 0
+            for li, states_of_layer in enumerate(memo):
+                for required, found in states_of_layer.items():
+                    pairs = list(_completions(layers, li, required))
+                    pareto = {(b, r) for b, r in pairs
+                              if not any(b2 <= b and r2 >= r and (b2, r2) != (b, r)
+                                         for b2, r2 in pairs)}
+                    if counted:
+                        ideals, found = found
+                        assert ideals == len(pairs)
+                    assert sorted(found) == sorted(pareto)
+                    states += 1
+            assert states > 5
 
     def test_front_counts_a_corner_of_value_two_on_a_synthetic_pair(self):
         # Two made-up layers, each a two-element chain.  Degree 1: y < x,
         # both with last index 6, so candidate 5; only x's shadow holds w.
         # Degree 2: w < u, candidates 7 and 3; u needs w.  Two corners need
         # x in degree 1, whose corner then has value 2: the front reaches
-        # (b, r) = (5, 2) only because such corners count.
-        def layer(d, maxval, shadow):
+        # (b, r) = (5, 2) only because such corners count.  The last index
+        # falls from w to u, which no layer of monomials allows, so only the
+        # dynamic program over every down-set takes these layers.
+        def layer(d, maxval, down_shadow):
             return SimpleNamespace(ctx=SimpleNamespace(spread_t=1), d=d,
                                    size=2, up=[0b11, 0b10], maxval=maxval,
-                                   shadow=shadow)
+                                   down_shadow=down_shadow)
 
         layers = [layer(1, [6, 6], [0, 0b01]), layer(2, [9, 5], [0, 0])]
-        assert oracle._CornerSearch(layers, SearchBudget()).solve(0, 0) == (
+        assert CornerDP(layers, SearchBudget()).solve(0, 0) == (
             8, ((-1, 0), (5, 2)))
 
-    @pytest.mark.parametrize("frontier", [0, oracle._FRONTIER, 10**6])
+    @pytest.mark.parametrize("frontier", [0, DP_FRONTIER, 10**6])
     @pytest.mark.parametrize("n,t,ell1", [(8, 2, 2), (9, 2, 3), (11, 3, 2)])
     def test_groups_match_listed_down_sets(self, monkeypatch, n, t, ell1, frontier):
         # frontier 0 lists every down-set, and a frontier above the layer
         # size reads every state from one family
-        monkeypatch.setattr(oracle, "_FRONTIER", frontier)
+        monkeypatch.setattr(helpers, "DP_FRONTIER", frontier)
         budget = SearchBudget()
         layers = oracle._layers(Context(n, t), ell1, budget)
-        search = oracle._CornerSearch(layers, budget)
+        search = CornerDP(layers, budget)
         search.solve(0, 0)
         states = 0
         for li, memo in enumerate(search.memo):
+            layer = layers[li]
             for required in memo:
                 want = {}
-                for _, shadow, mm, _ in oracle._down_sets(layers[li], required):
-                    key = (shadow, mm)
-                    want[key] = want.get(key, 0) + 1
+                for gens, shadow in oracle._down_sets(layer, required):
+                    mm = max((layer.maxval[p] for p in range(layer.size)
+                              if gens >> p & 1), default=-1)
+                    want[shadow, mm] = want.get((shadow, mm), 0) + 1
                 assert search.groups(li, required) == want, (li, required)
                 states += 1
         assert states > 10
@@ -299,13 +327,28 @@ class TestCornerSearch:
             for n in range(1, n_hi + 1):
                 ctx = Context(n, t)
                 for ell1 in range(1, max_spread_degree(n, t) + 1):
-                    ideals, unconstrained, value = walk_max_corners(ctx, ell1)
+                    walked = walk_max_corners(ctx, ell1)
+                    assert dp_max_corners(ctx, ell1) == walked, (n, t, ell1)
                     cell = brute_force_max_corners(ctx, ell1)
                     assert not cell.partial
-                    assert (cell.ideals, cell.unconstrained, cell.value) == (
-                        ideals, unconstrained, value), (n, t, ell1)
+                    assert (cell.unconstrained, cell.value) == walked[1:], (n, t, ell1)
                     cells += 1
         assert cells == 79  # every (n, t, l1) with a t-spread degree l1
+
+    def test_matches_the_dp_wherever_the_dp_is_exact(self):
+        # t = 1..5 up to n = 7, 11, 13, 14, 15: every cell with l1 >= 2
+        cells = 0
+        for t, n_hi in ((1, 7), (2, 11), (3, 13), (4, 14), (5, 15)):
+            for n in range(t + 1, n_hi + 1):
+                ctx = Context(n, t)
+                for ell1 in range(2, max_spread_degree(n, t) + 1):
+                    cell = brute_force_max_corners(ctx, ell1)
+                    assert not cell.partial
+                    _, unconstrained, value = dp_max_corners(ctx, ell1)
+                    assert (cell.unconstrained, cell.value) == (
+                        unconstrained, value), (n, t, ell1)
+                    cells += 1
+        assert cells == 101
 
     @pytest.mark.parametrize("n,t,ell1,ideals,value", [
         (9, 2, 2, 3_369, 3),
@@ -316,34 +359,45 @@ class TestCornerSearch:
         (14, 3, 2, 15_957_016, 3),
     ])
     def test_exact_ideal_counts(self, n, t, ell1, ideals, value):
-        cell = brute_force_max_corners(Context(n, t), ell1)
-        assert not cell.partial
-        assert (cell.ideals, cell.value) == (ideals, value)
+        counted, _, found = dp_max_corners(Context(n, t), ell1)
+        assert (counted, found) == (ideals, value)
+        assert brute_force_max_corners(Context(n, t), ell1).value == value
 
     def test_state_budget(self):
         cell = brute_force_max_corners(Context(10, 2), 2, SearchBudget(max_states=100))
         assert cell.partial
         assert cell.value is None or cell.value <= 3
 
+    @pytest.mark.parametrize("n,t,ell1", [(9, 1, 2), (10, 1, 3)])
+    def test_principal_budget_ends_at_the_work_done(self, n, t, ell1):
+        # one unit per (state, candidate); at these cells the units, 15,012
+        # and 57,964, reach past the masks' 8 bits per unit (91,963 and
+        # 344,730 bits), so the state count is the cap that trips
+        done = _principal_work(n, t, ell1)
+        exact = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done))
+        assert not exact.partial
+        capped = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done - 1))
+        assert capped.partial
+        assert _principal_work(n, t, ell1) == done
+
     @pytest.mark.parametrize("n,t,ell1", [(10, 2, 2), (12, 3, 2)])
     def test_state_budget_ends_at_the_work_done(self, monkeypatch, n, t, ell1):
-        # nodes are charged in batches, and neither the work counted nor
-        # the cap depends on the batch size
-        def work():
+        # the dynamic program charges nodes in batches, and neither the work
+        # counted nor the cap depends on the batch size
+        def dp_work():
             layers = oracle._layers(Context(n, t), ell1, SearchBudget())
-            search = oracle._CornerSearch(layers, SearchBudget())
+            search = CornerDP(layers, SearchBudget())
             for shadow, mm in search.groups(0, 0):
                 if mm >= 0:
                     search.solve(1, shadow)
             return search.meter.used
 
-        done = work()
-        monkeypatch.setattr(oracle, "_CHECK_EVERY", 7)
-        assert work() == done
-        exact = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done))
-        assert not exact.partial
-        capped = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done - 1))
-        assert capped.partial
+        done = dp_work()
+        monkeypatch.setattr(helpers, "DP_CHECK_EVERY", 7)
+        assert dp_work() == done
+        dp_max_corners(Context(n, t), ell1, SearchBudget(max_states=done))
+        with pytest.raises(BudgetExceededError, match="state budget"):
+            dp_max_corners(Context(n, t), ell1, SearchBudget(max_states=done - 1))
 
     def test_timeout(self):
         cell = brute_force_max_corners(Context(10, 2), 2, SearchBudget(timeout=0.0))
@@ -352,28 +406,33 @@ class TestCornerSearch:
     def test_timeout_within_one_layer(self, monkeypatch):
         # a clock that ticks once per reading: the deadline passes on the
         # third reading after the start, inside the single state of layer l1
-        ticks = iter(range(10**6))
-        monkeypatch.setattr(oracle, "time",
-                            SimpleNamespace(monotonic=lambda: next(ticks)))
+        # of the dynamic program, and at the third state of the principal
+        # search, which reads it once per state
         budget = SearchBudget(timeout=2.5)
-        search = oracle._CornerSearch(oracle._layers(Context(12, 2), 2, budget), budget)
-        with pytest.raises(BudgetExceededError, match="timeout"):
-            search.groups(0, 0)
-        assert next(ticks) == 4
+        layers = oracle._layers(Context(12, 2), 2, budget)
+        for search, run in ((CornerDP, lambda s: s.groups(0, 0)),
+                            (oracle._PrincipalSearch, lambda s: s.solve(0, 0))):
+            ticks = iter(range(10**6))
+            monkeypatch.setattr(oracle, "time",
+                                SimpleNamespace(monotonic=lambda: next(ticks)))
+            started = search(layers, budget)
+            with pytest.raises(BudgetExceededError, match="timeout"):
+                run(started)
+            assert next(ticks) == 4
 
     def test_ideal_budget_is_exact(self):
         # the walk charges max_states one unit per ideal, so a cap one
         # short of the total stops it one ideal short
         ctx = Context(9, 2)
-        exact = brute_force_max_corners(ctx, 2)
-        capped = SearchBudget(max_states=exact.ideals - 1)
+        ideals, _, _ = dp_max_corners(ctx, 2)
+        capped = SearchBudget(max_states=ideals - 1)
         walked = 0
         with pytest.raises(BudgetExceededError):
             for _ in enumerate_strongly_stable_ideals(ctx, 2, capped):
                 walked += 1
-        assert walked == exact.ideals - 1
-        at_cap = SearchBudget(max_states=exact.ideals)
-        assert len(list(enumerate_strongly_stable_ideals(ctx, 2, at_cap))) == exact.ideals
+        assert walked == ideals - 1
+        at_cap = SearchBudget(max_states=ideals)
+        assert len(list(enumerate_strongly_stable_ideals(ctx, 2, at_cap))) == ideals
 
     def test_more_variables_than_the_oracle_takes_are_refused(self, monkeypatch):
         monkeypatch.setattr(oracle, "_Layer", _no_layer)
@@ -381,7 +440,7 @@ class TestCornerSearch:
             oracle._layers(Context(33, 2), 17, SearchBudget())
         cell = brute_force_max_corners(Context(33, 2), 17)
         assert cell.partial
-        assert cell.value is None and cell.ideals == 0
+        assert cell.value is None and cell.unconstrained is None
         # past the top t-spread degree there is no layer to build: an exact dash
         cell = brute_force_max_corners(Context(40, 2), 25)
         assert not cell.partial and cell.value is None
@@ -391,7 +450,7 @@ class TestCornerSearch:
         monkeypatch.setattr(oracle, "_Layer", _no_layer)
         cell = brute_force_max_corners(Context(32, 1), 1)
         assert cell.partial
-        assert cell.value is None and cell.ideals == 0
+        assert cell.value is None and cell.unconstrained is None
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_mask_bits_refused_before_building(self, monkeypatch, n):
@@ -402,7 +461,7 @@ class TestCornerSearch:
             oracle._layers(Context(n, 1), 1, SearchBudget())
         cell = brute_force_max_corners(Context(n, 1), 1)
         assert cell.partial
-        assert cell.value is None and cell.ideals == 0
+        assert cell.value is None and cell.unconstrained is None
 
     def test_mask_bits_at_the_cap_are_built(self):
         # degrees 1..6 of 6 variables hold 6, 15, 20, 15, 6 and 1 monomials:
@@ -503,15 +562,16 @@ class TestCrossValidate:
             record = json.loads(line)
             assert "check" in record and "ok" in record
 
-    def test_ideal_count_disagreement_is_reported(self, monkeypatch):
+    def test_off_by_one_search_is_reported(self, monkeypatch):
+        # the closed form and the largest count walked in (b) both catch it
         search = oracle.brute_force_max_corners
 
-        def miscounting(*args, **kwargs):
+        def overcounting(*args, **kwargs):
             cell = search(*args, **kwargs)
-            cell.ideals += 1
+            cell.value += 1
             return cell
 
-        monkeypatch.setattr(oracle, "brute_force_max_corners", miscounting)
+        monkeypatch.setattr(oracle, "brute_force_max_corners", overcounting)
         report = cross_validate((6, 6), (2, 2), (2, 2))
         assert [r["check"] for r in report.disagreements] == ["max-corners"]
 
