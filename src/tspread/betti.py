@@ -156,9 +156,9 @@ def corners_via_characterization(ideal: SpreadIdeal, check_stability: bool = Tru
     t = ideal.ctx.spread_t
     stats = []
     for l in sorted(ideal.gens):
-        mm = max(max_index(u) for u in ideal.gens[l])
-        count = sum(1 for u in ideal.gens[l] if max_index(u) == mm)
-        stats.append((l, mm, count))
+        lasts = [u[-1] for u in ideal.gens[l]] if l else [0]  # the unit: max 0
+        mm = max(lasts)
+        stats.append((l, mm, lasts.count(mm)))
     corners = []
     values = []
     for pos, (l, mm, count) in enumerate(stats):

@@ -112,9 +112,8 @@ def cmd_betti(args) -> int:
 def cmd_construct(args) -> int:
     ideal, report = construct_extremal_ideal(args.n, args.t, args.l)
     if args.format == "json":
-        payload = json.loads(report.to_json())
-        payload["gens"] = ideal.all_generators()
-        print(json.dumps(payload))
+        report_json = report.to_json()  # an object: the generators join it last
+        print(f'{report_json[:-1]}, "gens": {ideal.generators_json()}}}')
         return EXIT_OK
     d, k = report.decomp.d, report.decomp.k
     note = " (small-k regime)" if report.regime == "small-k" else ""

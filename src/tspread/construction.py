@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .betti import CornerSequence
 from .errors import ConstructionInapplicableError, InvariantViolationError
-from .ideals import SpreadIdeal, _dominated, borel_ideal
+from .ideals import SpreadIdeal, _dominated, _trie_add, borel_ideal
 from .monomials import Context, Monomial, is_t_spread
 
 
@@ -241,10 +241,11 @@ def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, Co
     return ideal, report
 
 
-def _max_excluded(n: int, t: int, deg: int, earlier) -> Monomial | None:
+def _max_excluded(n: int, t: int, deg: int, earlier: dict) -> Monomial | None:
     """slex-max of { u in M_{n,deg,t} : max(u) = n, u not a multiple of
-    B_t(earlier) }, or None if the set is empty; ``earlier`` holds monomials
-    of degree below ``deg``.
+    B_t(earlier) }, or None if the set is empty; ``earlier`` is a prefix
+    trie (see :func:`tspread.ideals._trie_add`) of monomials of degree below
+    ``deg``.
 
     Direct lexicographic search; knows nothing of the closed forms.
     """
@@ -262,11 +263,14 @@ def omega_claim_check(omegas, ctx: Context, ell1: int) -> bool:
     that avoid every iterated shadow of the earlier closures must have
     omega_j as its slex-maximum (avoiding those shadows is equivalent to
     escaping prefix domination); and the set one degree beyond the last
-    monomial must be empty.  Returns a plain verdict, never raises.
+    monomial must be empty.  One trie of the earlier monomials grows by
+    omega_{j-1} before step j.  Returns a plain verdict, never raises.
     """
     n, t = ctx.n_vars, ctx.spread_t
     omegas = list(omegas)
-    for j in range(1, len(omegas)):
-        if _max_excluded(n, t, ell1 + j, omegas[:j]) != omegas[j]:
+    earlier: dict = {}
+    for j, w in enumerate(omegas):
+        if j and _max_excluded(n, t, ell1 + j, earlier) != w:
             return False
-    return _max_excluded(n, t, ell1 + len(omegas), omegas) is None
+        _trie_add(earlier, [w])
+    return _max_excluded(n, t, ell1 + len(omegas), earlier) is None

@@ -8,9 +8,13 @@ every closure here is one prefix-domination search, :func:`_dominated`, which
 derives minimal generators degree by degree.  The literal breadth-first search
 over the moves x_i * (u / x_j) is an independent oracle in the test suite.
 
-Minimalization and the stability gate share one membership structure, a
-prefix trie of the generators; the gate tests each unit decrement of a
-generator by one walk along its own path in the trie.
+One membership structure, a prefix trie with one dict per index
+(:func:`_trie_add`), serves the closure, the minimalization and the
+stability gate.  The closure search carries the trie nodes of the inputs of
+lower degree whose prefixes still dominate the one it is fixing; the
+minimalization walks a candidate's own indices down the trie of the
+generators kept so far; the gate tests each unit decrement of a generator
+by one walk along its own path in the trie of the generators.
 """
 
 from __future__ import annotations
@@ -75,13 +79,18 @@ class SpreadIdeal:
         """Every minimal generator, ascending by degree then slex-descending."""
         return [u for d in sorted(self.gens) for u in self.gens[d]]
 
+    def generators_json(self) -> str:
+        """:meth:`all_generators` as a JSON array of index arrays, the text
+        ``json.dumps`` writes with its default separators.  Each index's
+        text is made once, so large ideals skip the encoder's per-int work.
+        """
+        text = [str(i) for i in range(self.ctx.n_vars + 1)]
+        return "[" + ", ".join(["[" + ", ".join([text[i] for i in u]) + "]"
+                                for u in self.all_generators()]) + "]"
+
     def to_json(self) -> str:
-        payload = {
-            "n": self.ctx.n_vars,
-            "t": self.ctx.spread_t,
-            "gens": self.all_generators(),  # json writes tuples as arrays
-        }
-        return json.dumps(payload)
+        return (f'{{"n": {self.ctx.n_vars}, "t": {self.ctx.spread_t}, '
+                f'"gens": {self.generators_json()}}}')
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "SpreadIdeal":
@@ -151,60 +160,79 @@ def _minimalize(monomials) -> dict[int, tuple[Monomial, ...]]:
     return out
 
 
-def _dominated(ctx: Context, deg: int, tops, earlier, first: bool = False) -> list[Monomial]:
+def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False) -> list[Monomial]:
     """The t-spread degree-``deg`` monomials v that some u in ``tops`` (of
     degree ``deg``) dominates, v_p <= u_p at every p, and whose prefix
-    v[:len(e)] escapes domination by each e in ``earlier`` (degrees at most
-    ``deg``); slex-descending, or with ``first`` only the slex-largest.
+    v[:len(e)] escapes domination by each e in ``earlier`` (a prefix trie,
+    as built by :func:`_trie_add`, of monomials of degree at most ``deg``);
+    slex-descending, or with ``first`` only the slex-largest.
 
     Escaping is exactly "not a multiple of B_t(earlier)": a w <= e dividing
     v forces v[:len(e)] <= w <= e, and conversely that prefix is t-spread,
     lies in B_t(e) and divides v.  The search fixes v one position at a
-    time, smallest index first, so the hits come slex-descending.  It
-    carries the tops and the members of ``earlier`` that still dominate the
-    prefix, and abandons it once a member of ``earlier`` dominates it whole.
-    It runs depth-first on an explicit stack with one frame per fixed
-    position, ``(p, live, pending, values)``, whose iterator ``values``
+    time, smallest index first, so the hits come slex-descending.
+
+    Beside the tops that still dominate the prefix v[:p], it carries the
+    trie nodes at depth p whose path dominates v[:p]: the root at p = 0,
+    then, once v_p is fixed, the children with key >= v_p of the nodes
+    carried at p.  By induction on p the carried nodes are exactly the
+    paths e[:p] of the inputs e with v[:p] <= e[:p].  An input e of degree
+    p + 1 dominates v[:p + 1] iff e[:p] is carried and v_p <= e_p, that is
+    iff e's end mark hangs on a child with key >= v_p of a carried node.
+    Each input is met this way at the position of its last index, so v
+    escapes every input iff at no position does a carried node have a
+    child with key >= v_p that carries the end mark.  The search applies
+    this test to a whole position at once: its candidates start above the
+    largest key of a marked child of its carried nodes, so the children
+    kept for the next position never carry a mark.  The construction's
+    inputs share long prefixes (head + body_j is a prefix of omega_{j+1}),
+    so one to three nodes are carried where a list would hold every input.
+
+    The search runs depth-first on an explicit stack with one frame per
+    fixed position, ``(p, live, nodes, values)``, whose iterator ``values``
     yields the candidates for position p in ascending order, so the depth
-    is not bounded by the interpreter's recursion limit.
+    is not bounded by the interpreter's recursion limit.  A candidate that
+    leaves the next position no candidate gets no frame.
     """
     n, t = ctx.n_vars, ctx.spread_t
     found: list[Monomial] = []
-    if any(not e for e in earlier):
+    if _END in earlier:
         return found  # the unit monomial divides everything
     if not deg:
         return [()]
     u = [0] * deg
     last = deg - 1
-    # a lone top needs no filtering, which saves the construction (one top
-    # per degree) about a tenth of its search time
-
-    def span(p: int, live):
-        lo = u[p - 1] + t if p else 1
-        hi = min(live[0][p] if len(live) == 1 else max([w[p] for w in live]),
-                 n - t * (deg - 1 - p))
-        return iter(range(lo, hi + 1))
-
-    stack = [(0, tops, earlier, span(0, tops))]
+    lo = max([key + 1 for key, child in earlier.items() if _END in child], default=1)
+    hi = min(max([w[0] for w in tops]), n - t * last)
+    stack = [(0, tops, [earlier], iter(range(lo, hi + 1)))]
     while stack:
-        p, live, pending, values = stack[-1]
+        p, live, nodes, values = stack[-1]
+        if p == last:
+            stack.pop()
+            head = tuple(u[:last])
+            found.extend([head + (v,) for v in values])
+            if first and found:
+                return found[:1]
+            continue
+        q = p + 1
+        cap = n - t * (last - q)
         for v in values:
             u[p] = v
-            nxt = []
-            for e in pending:
-                if v <= e[p]:
-                    if len(e) == p + 1:
-                        break  # the prefix is dominated by e: a multiple
-                    nxt.append(e)
-            else:
-                if p == last:
-                    found.append(tuple(u))
-                    if first:
-                        return found
-                else:
-                    above = live if len(live) == 1 else [w for w in live if v <= w[p]]
-                    stack.append((p + 1, above, nxt, span(p + 1, above)))
-                    break
+            lo, nxt = v + t, []
+            for node in nodes:
+                for key, child in node.items():
+                    if key >= v:
+                        nxt.append(child)
+                        for below, grand in child.items():
+                            if below >= lo and _END in grand:
+                                lo = below + 1  # v_q <= below: a multiple
+            # a lone top needs no filtering, which saves the construction
+            # (one top per degree) about a tenth of its search time
+            above = live if len(live) == 1 else [w for w in live if v <= w[p]]
+            hi = min(above[0][q] if len(above) == 1 else max([w[q] for w in above]), cap)
+            if lo <= hi:  # else a dead end: push no frame for it
+                stack.append((q, above, nxt, iter(range(lo, hi + 1))))
+                break
         else:
             stack.pop()
     return found
@@ -214,7 +242,7 @@ def borel_closure_degree(u: Monomial, ctx: Context) -> list[Monomial]:
     """Degree-deg(u) members of B_t(u), slex-descending: the t-spread
     monomials that u dominates componentwise."""
     _require_t_spread(u, ctx)
-    return _dominated(ctx, len(u), [u], [])
+    return _dominated(ctx, len(u), [u], {})
 
 
 def borel_ideal(generators, ctx: Context) -> SpreadIdeal:
@@ -229,12 +257,12 @@ def borel_ideal(generators, ctx: Context) -> SpreadIdeal:
         _require_t_spread(u, ctx)
         by_degree.setdefault(len(u), set()).add(u)
     gens: dict[int, tuple[Monomial, ...]] = {}
-    earlier: list[Monomial] = []
+    earlier: dict = {}
     for d in sorted(by_degree):
         found = _dominated(ctx, d, list(by_degree[d]), earlier)
         if found:
             gens[d] = tuple(found)
-        earlier.extend(by_degree[d])
+        _trie_add(earlier, by_degree[d])
     return SpreadIdeal(ctx, gens)
 
 

@@ -461,7 +461,9 @@ def table_csv(cells: list[TableCell]) -> str:
 
 
 def table_markdown(cells: list[TableCell]) -> str:
-    """Rows labelled by l1, columns by n, dashes for empty cells."""
+    """Rows labelled by l1, columns by n: a dash for a cell with no
+    qualifying ideal, ``?`` for a partial cell whose search found no value
+    yet, and ``+`` after a partial cell's lower bound."""
     ns = sorted({c.n for c in cells})
     ells = sorted({c.ell1 for c in cells})
     grid = {(c.ell1, c.n): c for c in cells}
@@ -472,7 +474,9 @@ def table_markdown(cells: list[TableCell]) -> str:
         row = [str(ell)]
         for n in ns:
             c = grid.get((ell, n))
-            if c is None or c.value is None:
+            if c is not None and c.value is None and c.partial:
+                row.append("?")
+            elif c is None or c.value is None:
                 row.append("-")
             else:
                 row.append(str(c.value) + ("+" if c.partial else ""))

@@ -204,6 +204,18 @@ class TestConstruct:
         payload["gens"] = [list(u) for u in ideal.all_generators()]
         assert code == 0 and out == json.dumps(payload) + "\n"
 
+    @pytest.mark.parametrize("n,t,l", [(7, 2, 2), (46, 3, 3), (300, 2, 2)])
+    def test_json_text_is_the_json_module_text(self, capsys, n, t, l):
+        # indices of one, two and three digits, written without json.dumps
+        code, out, _ = run_cli(["construct", "-n", str(n), "-t", str(t), "-l", str(l),
+                                "--format", "json"], capsys)
+        ideal, report = construct_extremal_ideal(n, t, l)
+        payload = json.loads(report.to_json())
+        payload["gens"] = ideal.all_generators()
+        assert code == 0 and out == json.dumps(payload) + "\n"
+        assert ideal.to_json() == json.dumps(
+            {"n": n, "t": t, "gens": ideal.all_generators()})
+
     def test_betti_of_saved_construction(self, capsys, tmp_path):
         # 3,748 generators read back through the minimalization
         path = tmp_path / "ideal.json"
@@ -242,6 +254,13 @@ class TestTable:
                                 "--brute-force-upto", "9", "--max-states", "10"],
                                capsys)
         assert code == 4
+
+    def test_partial_cell_without_value_prints_question_mark(self, capsys):
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "9:10", "--l", "2:2",
+                                "--brute-force-upto", "10", "--max-states", "1000"],
+                               capsys)
+        assert code == 4
+        assert out.splitlines()[2] == "| 2 | 3 | ? |"
 
     def test_brute_force_below_initial_degree_two_exits_3(self, capsys):
         code, out, err = run_cli(["table", "-t", "2", "--n", "5:5", "--l", "0:1",

@@ -20,8 +20,8 @@ from tspread import (
 )
 from tspread.construction import s_value
 
-from helpers import (OMEGAS_46_3, TABLE_T2, TABLE_T3, bfs_closure,
-                     slex_successor_with_max_n, table_cells)
+from helpers import (OMEGAS_46_3, TABLE_T2, TABLE_T3, bfs_borel_ideal, bfs_closure,
+                     contains, slex_successor_with_max_n, table_cells)
 
 
 class TestDecompose:
@@ -279,9 +279,37 @@ class TestOmegaClaimCheck:
     def test_omega2_for_9_2_2(self):
         # the only degree-4 monomial with max 9 avoiding both shadows
         from tspread.construction import _max_excluded
+        from tspread.ideals import _trie_add
 
         rep = build_omegas(9, 2, 2)
-        assert _max_excluded(9, 2, 4, rep.omegas[:2]) == (2, 5, 7, 9)
+        earlier: dict = {}
+        _trie_add(earlier, rep.omegas[:2])
+        assert _max_excluded(9, 2, 4, earlier) == (2, 5, 7, 9)
+
+    def test_max_excluded_matches_brute_force(self):
+        # every witness list with n <= 12, t = 2..3, l1 = 2..3, and one
+        # degree past it, against a slex scan filtered by the BFS closure
+        from tspread.construction import _max_excluded
+        from tspread.ideals import _trie_add
+
+        checked = 0
+        for t in (2, 3):
+            for ell1 in (2, 3):
+                for n in range(1, 13):
+                    if max_corners(n, t, ell1) is None:
+                        continue
+                    ctx = Context(n, t)
+                    omegas = build_omegas(n, t, ell1).omegas
+                    earlier: dict = {}
+                    for j in range(1, len(omegas) + 1):
+                        _trie_add(earlier, [omegas[j - 1]])
+                        closure = bfs_borel_ideal(omegas[:j], ctx)
+                        deg = ell1 + j
+                        want = next((u for u in spread_monomials(ctx, deg)
+                                     if u[-1] == n and not contains(closure, u)), None)
+                        assert _max_excluded(n, t, deg, earlier) == want, (n, t, ell1, j)
+                        checked += 1
+        assert checked > 40, checked
 
     def test_perturbed_omegas_fail(self):
         rep = build_omegas(46, 3, 2)

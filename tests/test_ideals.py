@@ -117,6 +117,23 @@ class TestBorelIdeal:
         I = borel_ideal([(2, 5), (), (1, 3, 6)], Context(9, 2))
         assert I.gens == {0: ((),)}
 
+    @pytest.mark.parametrize("n,t,gens", [
+        # an input that is a prefix of a later one: one trie path ends twice
+        (9, 3, [(1, 4), (1, 4, 7)]),
+        (12, 2, [(2, 5), (2, 5, 8), (2, 5, 8, 12)]),
+        # several inputs of one lower degree: the trie branches
+        (12, 2, [(1, 12), (2, 6), (3, 5), (4, 7, 10), (2, 8, 10, 12)]),
+        (12, 3, [(1, 5, 9), (1, 6, 10), (2, 5, 8), (3, 6, 9, 12)]),
+        # a degree-one input ends at a child of the root
+        (9, 2, [(2,), (4, 7), (3, 6, 9)]),
+        # the unit monomial among the inputs
+        (9, 2, [(1, 4, 7), ()]),
+        (9, 2, [(), (2, 5)]),
+    ])
+    def test_matches_bfs_oracle_on_trie_shapes(self, n, t, gens):
+        ctx = Context(n, t)
+        assert borel_ideal(gens, ctx) == bfs_borel_ideal(gens, ctx)
+
 
 class TestShadow:
     def test_remark_shadow_singleton(self):
