@@ -94,6 +94,12 @@ class CornerSequence:
         )
 
 
+def _shift(t: int, l: int) -> int:
+    """t(l-1) + 1, subtracted from max(u) for a generator u of degree l; 0 in
+    degree 0, whose only generator is the unit (S is free of rank one)."""
+    return t * (l - 1) + 1 if l else 0
+
+
 def graded_betti(ideal: SpreadIdeal) -> BettiTable:
     """Betti table of a t-spread strongly stable ideal via the closed formula.
 
@@ -106,7 +112,8 @@ def graded_betti(ideal: SpreadIdeal) -> BettiTable:
         # sum over m = a..b of binom(m, k) is binom(b+1, k+1) - binom(a, k+1):
         # one term per run of consecutive m with equal multiplicity, not one
         # per generator
-        ms = Counter(max_index(u) - t * (l - 1) - 1 for u in gens)
+        shift = _shift(t, l)
+        ms = Counter(max_index(u) - shift for u in gens)
         runs: list[list[int]] = []  # [a, b, multiplicity]
         for m in sorted(ms):
             if runs and runs[-1][1] == m - 1 and runs[-1][2] == ms[m]:
@@ -144,28 +151,29 @@ def corners_via_characterization(ideal: SpreadIdeal, check_stability: bool = Tru
     """Corners computed from generator data alone, without the Betti table.
 
     For each generator degree l the only candidate is
-    k = max{max(u) : u in G(I)_l} - t(l-1) - 1, and it is a corner iff every
-    higher generator degree j satisfies max(u) < k + t(j-1) + 1 for all its
-    generators; the corner value is the number of degree-l generators
-    attaining the maximal last index.  Input must be strongly stable;
+    k = max{max(u) : u in G(I)_l} - t(l-1) - 1, and it is a corner iff it
+    exceeds the candidates of every higher generator degree; the corner
+    value is the number of degree-l generators attaining the maximal last
+    index.  Input must be strongly stable;
     callers holding an ideal that is stable by construction (a Borel closure)
     may pass ``check_stability=False`` to skip the redundant verification.
     """
     if check_stability:
         require_strongly_stable(ideal)
     t = ideal.ctx.spread_t
-    stats = []
-    for l in sorted(ideal.gens):
-        lasts = [u[-1] for u in ideal.gens[l]] if l else [0]  # the unit: max 0
-        mm = max(lasts)
-        stats.append((l, mm, lasts.count(mm)))
     corners = []
     values = []
-    for pos, (l, mm, count) in enumerate(stats):
-        k = mm - t * (l - 1) - 1
-        if all(mm_j < k + t * (j - 1) + 1 for j, mm_j, _ in stats[pos + 1:]):
+    best = -1  # the largest candidate of the degrees above
+    for l in sorted(ideal.gens, reverse=True):
+        lasts = [u[-1] for u in ideal.gens[l] if u] or [0]  # the unit: max 0
+        mm = max(lasts)
+        k = mm - _shift(t, l)
+        if k > best:
+            best = k
             corners.append((k, l))
-            values.append(count)
+            values.append(lasts.count(mm))
+    corners.reverse()
+    values.reverse()
     return CornerSequence(tuple(corners), tuple(values))
 
 

@@ -113,7 +113,8 @@ def cmd_construct(args) -> int:
     ideal, report = construct_extremal_ideal(args.n, args.t, args.l)
     if args.format == "json":
         report_json = report.to_json()  # an object: the generators join it last
-        print(f'{report_json[:-1]}, "gens": {ideal.generators_json()}}}')
+        # written in pieces: the generators' text is not copied again
+        print(report_json[:-1], ', "gens": ', ideal.generators_json(), "}", sep="")
         return EXIT_OK
     d, k = report.decomp.d, report.decomp.k
     note = " (small-k regime)" if report.regime == "small-k" else ""

@@ -77,12 +77,24 @@ def nu_max(n: int, t: int, ell1: int = 2) -> int:
     return (dec.d - 2) // t + dec.k - 2 - jm - (ell1 - 2)
 
 
+def require_closed_forms(t: int, ell1: int) -> None:
+    """Raise ConstructionInapplicableError, naming the failing value, unless
+    t >= 2 and l1 >= 2: the closed forms' domain (t = 1 is the classical
+    case that they generalize, and they are not claimed for it)."""
+    if t < 2:
+        raise ConstructionInapplicableError(f"the closed forms require t >= 2, got t={t}")
+    if ell1 < 2:
+        raise ConstructionInapplicableError(
+            f"the closed forms require initial degree >= 2, got initial degree {ell1}")
+
+
 def max_corners(n: int, t: int, ell1: int) -> int | None:
     """Maximal number of corners of an ideal of initial degree l1, or None.
 
-    None encodes inapplicability: no t-spread monomial of degree l1 at all,
-    or (for l1 >= 3) no possible corner of positive homological index in
-    degree l1, i.e. l1 > k + floor((d-2)/t) + 1.
+    (t, l1) must pass :func:`require_closed_forms`; None then only means
+    that no qualifying ideal exists (a dash in the tables): no t-spread
+    monomial of degree l1 at all, or (for l1 >= 3) no possible corner of
+    positive homological index in degree l1, i.e. l1 > k + floor((d-2)/t) + 1.
 
     For l1 = 2 the bound is k + floor((d-3)/t) when k >= 3; the k = 1, 2
     values come from the small-k analysis (a single corner, except two when
@@ -91,7 +103,8 @@ def max_corners(n: int, t: int, ell1: int) -> int | None:
     are covered by the same expression (corroborated by the brute-force
     oracle).
     """
-    if t < 2 or ell1 < 2 or n < 1:
+    require_closed_forms(t, ell1)
+    if n < 1:
         return None
     dec = decompose(n, t)
     d, k = dec.d, dec.k
@@ -150,19 +163,11 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
     (n, t, l1) lies outside the construction's hypotheses (see
     :func:`max_corners`).
     """
-    if t < 2:
-        raise ConstructionInapplicableError(
-            f"construction requires t >= 2, got t={t}", reason="t < 2"
-        )
-    if ell1 < 2:
-        raise ConstructionInapplicableError(
-            f"initial degree must be >= 2, got {ell1}", reason="ell1 < 2"
-        )
     expected = max_corners(n, t, ell1)
     dec = decompose(n, t)
     d, k = dec.d, dec.k
     if expected is None:
-        if ell1 == 2 or n < (ell1 - 1) * t + 1:
+        if n < (ell1 - 1) * t + 1:
             reason = f"no {t}-spread monomial of degree {ell1} in {n} variables"
         else:
             reason = (
@@ -170,9 +175,7 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
                 f"{k + (d - 2) // t + 1}"
             )
         raise ConstructionInapplicableError(
-            f"no construction for n={n}, t={t}, ell1={ell1}: {reason}",
-            reason=reason,
-        )
+            f"no construction for n={n}, t={t}, ell1={ell1}: {reason}")
 
     ctx = Context(n, t)
     jm = j_max(n, t, ell1)
@@ -189,7 +192,7 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
     if nm >= 0:
         critic_index = jm + 1
         last_forward = omegas[-1]
-        keep_base = jm - 2 - s if ell1 == 2 else jm + ell1 - 4 - s
+        keep_base = jm + ell1 - 4 - s
         for nu in range(nm + 1):
             keep = keep_base - nu * t
             lo = k - 4 - s - nu * (1 + t)

@@ -34,14 +34,8 @@ class NotStronglyStableError(TSpreadError):
 
 
 class ConstructionInapplicableError(TSpreadError):
-    """Input (n, t, ell1) lies outside the construction's hypotheses.
-
-    ``reason`` names the failing condition.
-    """
-
-    def __init__(self, message, reason=""):
-        super().__init__(message)
-        self.reason = reason or message
+    """Input (n, t, ell1) lies outside the construction's hypotheses; the
+    message names the failing condition."""
 
 
 class InvariantViolationError(RuntimeError):

@@ -227,46 +227,39 @@ def _down_sets(layer: _Layer, required: int = 0):
         yield gens, shadow
 
 
-def _walk_chains(layers: list[_Layer], budget: SearchBudget):
-    """Yield one ``[(degree, gens_mask, layer), ...]`` list per ideal.
-
-    Chains start with a nonempty down-set at the first layer (so the initial
-    degree is exactly that of ``layers[0]``) and at each later degree range
-    over all down-sets containing the shadow of the previous one.  Each
-    ideal is charged to the budget before it is yielded, so the walk raises
-    BudgetExceededError at exactly ``max_states`` ideals or at the timeout.
-    """
-    meter = _Meter(budget)
-    last = len(layers) - 1
-
-    def rec(li: int, required: int, chain: list):
-        layer = layers[li]
-        for gens, shadow in _down_sets(layer, required):
-            if li == 0 and gens == 0:
-                continue
-            link = chain + [(layer.d, gens, layer)] if gens else chain
-            if li < last:
-                yield from rec(li + 1, shadow, link)
-            else:
-                meter.charge()
-                yield link
-
-    yield from rec(0, 0, [])
-
-
 def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudget | None = None):
     """Every t-spread strongly stable ideal of initial degree exactly l1.
 
     Yields :class:`SpreadIdeal` values (minimal generators) in a fixed
     deterministic order; raises BudgetExceededError mid-stream when a cap is
     hit, so everything yielded before the error is valid but partial.
+
+    The walk takes a nonempty down-set at the first layer (so the initial
+    degree is exactly l1) and at each later degree every down-set containing
+    the shadow of the previous one.  Each ideal is charged to the budget
+    before it is yielded, so the walk stops at exactly ``max_states`` ideals
+    or at the timeout.
     """
     budget = budget or SearchBudget()
     if ell1 < 1 or ell1 > max_spread_degree(ctx.n_vars, ctx.spread_t):
         return
-    for chain in _walk_chains(_layers(ctx, ell1, budget), budget):
-        gens = {d: tuple(layer.members(mask)) for d, mask, layer in chain}
-        yield SpreadIdeal(ctx, gens)
+    layers = _layers(ctx, ell1, budget)
+    meter = _Meter(budget)
+    last = len(layers) - 1
+
+    def walk(li: int, required: int, chain: list):
+        layer = layers[li]
+        for gens, shadow in _down_sets(layer, required):
+            if li == 0 and gens == 0:
+                continue
+            link = chain + [(layer, gens)] if gens else chain
+            if li < last:
+                yield from walk(li + 1, shadow, link)
+            else:
+                meter.charge()
+                yield SpreadIdeal(ctx, {lay.d: tuple(lay.members(mask)) for lay, mask in link})
+
+    yield from walk(0, 0, [])
 
 
 # solve() past the top layer: one (empty) choice, no corner candidate, no corner
@@ -424,19 +417,19 @@ def regenerate_table(
     Cells with n <= brute_force_upto are computed by exhaustive enumeration
     (within the budget), the rest by the closed formulas; the provenance
     field says which.  Exhaustive cells need l1 >= 2, where the tables
-    start, and formula cells need t >= 2, where the closed forms hold:
-    otherwise ConstructionInapplicableError is raised before any cell is
-    computed.
+    start; formula cells need the domain of
+    :func:`~tspread.construction.require_closed_forms` (t >= 2 and
+    l1 >= 2).  Otherwise ConstructionInapplicableError is raised before any
+    cell is computed.
     """
-    from .construction import max_corners
+    from .construction import max_corners, require_closed_forms
 
     if brute_force_upto >= n_range[0] and ell1_range[0] < 2:
         raise ConstructionInapplicableError(
             "exhaustive cells require initial degree >= 2, got initial "
             f"degree {ell1_range[0]}")
-    if brute_force_upto < n_range[1] and t < 2:
-        raise ConstructionInapplicableError(
-            f"formula cells require t >= 2, got t={t}")
+    if brute_force_upto < n_range[1]:
+        require_closed_forms(t, ell1_range[0])
 
     cells = []
     for ell1 in range(ell1_range[0], ell1_range[1] + 1):
@@ -517,27 +510,26 @@ def cross_validate(
         table agree with the generator characterization;
     (c) per cell: brute-force maximum == closed-form maximum == number of
         constructed witness monomials (wherever each is defined), and the
-        corners read off the Betti table of the constructed ideal sit at
-        (n - t(l-1) - 1, l) for l = l1, l1 + 1, ..., one per witness, with
-        value 1; a construction that fails its own verification makes the
-        record fail; when neither the search nor the walk of (b) stopped
-        early, the brute-force maximum must also equal the largest corner
-        count read off the Betti tables of (b), over the walked ideals
-        whose first corner lies in degree l1 (at k >= 1 when l1 >= 3).
+        corners read off the Betti table of the constructed ideal equal the
+        construction's prediction, (n - t(l-1) - 1, l) for l = l1, l1 + 1,
+        ..., one per witness, each of value 1; a construction that fails its
+        own verification makes the record fail; when neither the search nor
+        the walk of (b) stopped early, the brute-force maximum must also
+        equal the largest corner count read off the Betti tables of (b),
+        over the walked ideals whose first corner lies in degree l1 (at
+        k >= 1 when l1 >= 3).
 
     Each check runs under its own meter of ``budget``; exhaustion marks the
     affected record and the report as partial.
-    The closed forms need t >= 2 and l1 >= 2; a range reaching below either
-    raises ConstructionInapplicableError before any record is built.
+    Ranges reaching outside the closed forms' domain (see
+    :func:`~tspread.construction.require_closed_forms`) raise
+    ConstructionInapplicableError before any record is built.
     """
     from .betti import corners_from_table, corners_via_characterization, graded_betti
-    from .construction import construct_extremal_ideal, max_corners
+    from .construction import construct_extremal_ideal, max_corners, require_closed_forms
     from .ideals import borel_closure_degree
 
-    if t_range[0] < 2 or ell1_range[0] < 2:
-        raise ConstructionInapplicableError(
-            "cross-validation requires t >= 2 and initial degree >= 2, got "
-            f"t={t_range[0]} and initial degree {ell1_range[0]}")
+    require_closed_forms(t_range[0], ell1_range[0])
     budget = budget or SearchBudget()
     report = CrossValidationReport()
 
@@ -613,10 +605,7 @@ def cross_validate(
                     built = rep.total
                     # the corners of the built ideal, read off its Betti table
                     got = corners_from_table(graded_betti(ideal))
-                    corners_ok = got.corners == tuple(
-                        (n - t * (l - 1) - 1, l)
-                        for l in range(ell1, ell1 + built)
-                    ) and all(v == 1 for v in got.values)
+                    corners_ok = got == rep.predicted_corners
                 ok = built == formula and corners_ok
                 if not cell.partial:
                     ok = ok and cell.value == formula

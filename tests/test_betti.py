@@ -83,6 +83,14 @@ class TestGradedBetti:
         table = graded_betti(borel_ideal([], Context(5, 2)))
         assert table.is_empty
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_unit_ideal_is_free_of_rank_one(self, t):
+        unit = borel_ideal([()], Context(5, t))
+        table = graded_betti(unit)
+        assert table.entries == {(0, 0): 1}
+        for seq in (corners_from_table(table), corners_via_characterization(unit)):
+            assert seq.corners == ((0, 0),) and seq.values == (1,)
+
     def test_large_entry_exact(self):
         # arbitrary precision: the entry is sum_{m<=61} binom(m, 30), which the
         # hockey-stick identity turns into one independent big binomial

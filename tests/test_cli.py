@@ -183,9 +183,12 @@ class TestConstruct:
         assert out.count("omega_") == 1  # a single corner
 
     def test_inapplicable_exits_3(self, capsys):
-        code, _, err = run_cli(["construct", "-n", "3", "-t", "3", "-l", "2"],
-                               capsys)
-        assert code == 3 and "no construction" in err
+        for args, needle in [(["-n", "3", "-t", "3", "-l", "2"], "no construction"),
+                             (["-n", "9", "-t", "1"], "t=1"),
+                             (["-n", "9", "-t", "2", "-l", "1"], "initial degree 1")]:
+            code, out, err = run_cli(["construct"] + args, capsys)
+            assert code == 3 and out == ""
+            assert needle in err
 
     def test_degree_far_past_the_recursion_limit(self, capsys):
         # 1,051 degrees from 1,000 up, each closure search 1,000+ positions deep
@@ -263,10 +266,13 @@ class TestTable:
         assert out.splitlines()[2] == "| 2 | 3 | ? |"
 
     def test_brute_force_below_initial_degree_two_exits_3(self, capsys):
-        code, out, err = run_cli(["table", "-t", "2", "--n", "5:5", "--l", "0:1",
-                                  "--brute-force-upto", "5"], capsys)
-        assert code == 3 and out == ""
-        assert "initial degree 0" in err
+        # exhaustive cells, then formula cells alone
+        for args, needle in [(["--n", "5:5", "--l", "0:1", "--brute-force-upto", "5"],
+                              "initial degree 0"),
+                             (["--n", "5:7", "--l", "1:2"], "initial degree 1")]:
+            code, out, err = run_cli(["table", "-t", "2"] + args, capsys)
+            assert code == 3 and out == ""
+            assert needle in err
 
     @pytest.mark.parametrize("t", ["1", "0", "-3"])
     def test_formula_cells_below_spread_two_exit_3(self, capsys, t):

@@ -230,8 +230,13 @@ class TestBuildOmegas:
         with pytest.raises(ConstructionInapplicableError) as err:
             build_omegas(5, 2, 3)  # x1x3x5 exists, but ell1=3 is out of range
         assert "exceeds" in str(err.value)
-        with pytest.raises(ConstructionInapplicableError):
+        with pytest.raises(ConstructionInapplicableError, match="t=1"):
             build_omegas(14, 1, 2)
+        # the closed forms themselves refuse outside t >= 2, l1 >= 2
+        with pytest.raises(ConstructionInapplicableError, match="t=1"):
+            max_corners(6, 1, 2)
+        with pytest.raises(ConstructionInapplicableError, match="initial degree 1"):
+            max_corners(6, 2, 1)
 
 
 class TestConstructExtremalIdeal:

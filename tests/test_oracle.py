@@ -500,10 +500,11 @@ class TestRegenerateTable:
     def test_brute_force_below_initial_degree_two_is_refused(self):
         with pytest.raises(ConstructionInapplicableError):
             regenerate_table(2, (5, 5), (0, 1), brute_force_upto=5)
-        # formula cells alone are dashes, as before
-        assert [c.value for c in regenerate_table(2, (5, 5), (0, 1))] == [None, None]
-        cells = regenerate_table(2, (6, 6), (1, 2), brute_force_upto=5)
-        assert [c.provenance for c in cells] == ["formula", "formula"]
+        # formula cells are refused there too: the closed forms need l1 >= 2
+        with pytest.raises(ConstructionInapplicableError, match="initial degree 0"):
+            regenerate_table(2, (5, 5), (0, 1))
+        with pytest.raises(ConstructionInapplicableError, match="initial degree 1"):
+            regenerate_table(2, (6, 6), (1, 2), brute_force_upto=5)
 
     @pytest.mark.parametrize("t", [1, 0, -3])
     def test_formula_cells_below_spread_two_are_refused(self, t):
