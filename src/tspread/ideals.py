@@ -20,6 +20,7 @@ by one walk along its own path in the trie of the generators.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (IdealFormatError, InvalidMonomialError, NotStronglyStableError,
@@ -43,10 +44,11 @@ class SpreadIdeal:
     """A t-spread monomial ideal, stored as minimal generators by degree.
 
     ``gens`` maps each generator degree to a slex-descending tuple of
-    monomials; degrees without generators are absent.  The zero ideal has an
-    empty map.  Instances should be built through :meth:`from_generators` or
-    :func:`borel_ideal`, which establish the invariants (t-spread generators,
-    no generator dividing another).
+    monomials, which is ascending as index tuples; degrees without
+    generators are absent.  The zero ideal has an empty map.  Instances
+    should be built through :meth:`from_generators` or :func:`borel_ideal`,
+    which establish the invariants (t-spread generators, no generator
+    dividing another, each degree in that order).
     """
 
     ctx: Context
@@ -81,12 +83,33 @@ class SpreadIdeal:
 
     def generators_json(self) -> str:
         """:meth:`all_generators` as a JSON array of index arrays, the text
-        ``json.dumps`` writes with its default separators.  Each index's
-        text is made once, so large ideals skip the encoder's per-int work.
+        ``json.dumps`` writes with its default separators.
+
+        It is written one prefix run at a time: a run is the generators of
+        one degree that share all but their last index, their ``head``.  A
+        degree ascends as tuples, so a run is a slice of it that ends where
+        ``head + (n + 1,)`` would be inserted: one bisection per run, no
+        test per generator.  The head's text is made once per run, and the
+        text before each last index of the run is that one string.
         """
         text = [str(i) for i in range(self.ctx.n_vars + 1)]
-        return "[" + ", ".join(["[" + ", ".join([text[i] for i in u]) + "]"
-                                for u in self.all_generators()]) + "]"
+        past_n = (self.ctx.n_vars + 1,)
+        pieces = []  # alternately the text before a last index and that index
+        for d in sorted(self.gens):
+            gens = self.gens[d]
+            start = 0
+            while start < len(gens):
+                head = gens[start][:-1]
+                stop = bisect_left(gens, head + past_n, start)
+                before = "], [" + "".join([text[i] + ", " for i in head])
+                run = [before] * (2 * (stop - start))
+                run[1::2] = [text[u[-1]] for u in gens[start:stop]] if d else [""]  # unit
+                pieces += run
+                start = stop
+        if not pieces:
+            return "[]"
+        pieces[0] = pieces[0][3:]  # the first generator follows no other
+        return "[" + "".join(pieces) + "]]"
 
     def to_json(self) -> str:
         return (f'{{"n": {self.ctx.n_vars}, "t": {self.ctx.spread_t}, '

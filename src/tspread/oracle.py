@@ -51,8 +51,9 @@ class SearchBudget:
     it solves, and check (a) of :func:`cross_validate` one per monomial of
     the layer for each closure compared.  Units, not bytes: a candidate
     holds a shadow mask as wide as the next layer.  Layers whose masks
-    would need more than ``8 * max_states`` bits are refused before any is
-    built.
+    would need more than ``64 * max_states`` bits, one unit per 64-bit word,
+    are refused before any is built; at the default budget that caps the
+    masks at about 80 MB.
     ``timeout`` is in wall-clock seconds per search; with it set the clock
     is read at every charge, else never.
     """
@@ -160,13 +161,14 @@ class _Layer:
 
 def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
     """Refuse layers of the given sizes, each above the next, whose masks
-    would hold more than ``8 * budget.max_states`` bits: a layer of a
-    monomials above one of b holds a up-sets and a down-set shadows,
-    a * (a + b) bits, so the masks grow with the square of the layer sizes."""
+    would hold more than ``64 * budget.max_states`` bits, one unit per 64-bit
+    word: a layer of a monomials above one of b holds a up-sets and a
+    down-set shadows, a * (a + b) bits, so the masks grow with the square of
+    the layer sizes."""
     bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
-    if bits > 8 * budget.max_states:
+    if bits > 64 * budget.max_states:
         raise BudgetExceededError(
-            f"the masks need {bits} bits, over 8 times the state budget "
+            f"the masks need {bits} bits, over 64 times the state budget "
             f"{budget.max_states}"
         )
 

@@ -207,9 +207,11 @@ class TestConstruct:
         payload["gens"] = [list(u) for u in ideal.all_generators()]
         assert code == 0 and out == json.dumps(payload) + "\n"
 
-    @pytest.mark.parametrize("n,t,l", [(7, 2, 2), (46, 3, 3), (300, 2, 2)])
+    @pytest.mark.parametrize("n,t,l", [(7, 2, 2), (46, 3, 3), (300, 2, 2),
+                                       (400, 3, 3), (500, 4, 2)])
     def test_json_text_is_the_json_module_text(self, capsys, n, t, l):
-        # indices of one, two and three digits, written without json.dumps
+        # indices of one, two and three digits, written without json.dumps;
+        # the last two hold the longest prefix runs
         code, out, _ = run_cli(["construct", "-n", str(n), "-t", str(t), "-l", str(l),
                                 "--format", "json"], capsys)
         ideal, report = construct_extremal_ideal(n, t, l)
@@ -259,11 +261,21 @@ class TestTable:
         assert code == 4
 
     def test_partial_cell_without_value_prints_question_mark(self, capsys):
-        code, out, _ = run_cli(["table", "-t", "2", "--n", "9:10", "--l", "2:2",
-                                "--brute-force-upto", "10", "--max-states", "1000"],
+        # 150 units settle n = 8, give n = 9 a lower bound and n = 10 no value
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "8:10", "--l", "2:2",
+                                "--brute-force-upto", "10", "--max-states", "150"],
                                capsys)
         assert code == 4
-        assert out.splitlines()[2] == "| 2 | 3 | ? |"
+        assert out.splitlines()[2] == "| 2 | 2 | 1+ | ? |"
+
+    def test_mask_bits_do_not_refuse_a_cell_the_search_settles(self, capsys):
+        # the search settles the cell in 552 units, and the masks' 9,879 bits
+        # fit in 64 * 1000, one unit per 64-bit word
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "10:10", "--l", "2:2",
+                                "--brute-force-upto", "10", "--max-states", "1000"],
+                               capsys)
+        assert code == 0
+        assert out.splitlines()[2] == "| 2 | 3 |"
 
     def test_brute_force_below_initial_degree_two_exits_3(self, capsys):
         # exhaustive cells, then formula cells alone

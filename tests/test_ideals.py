@@ -337,6 +337,19 @@ class TestJsonInterface:
         with pytest.raises(IdealFormatError):
             SpreadIdeal.from_json(text)
 
+    @pytest.mark.parametrize("n,t,gens", [
+        (20, 2, [(3, 13), (3, 15), (1, 4, 7)]),  # (1, 4, 7) sorts below (3, 21)
+        (9, 2, [(2,), (4, 6), (4, 9), (1, 3, 5, 7)]),
+        (130, 3, [(5, 9, 99), (5, 9, 100), (5, 9, 130), (5, 12, 100)]),
+    ])
+    def test_generators_json_at_run_boundaries(self, n, t, gens):
+        I = SpreadIdeal.from_generators(Context(n, t), gens)
+        assert I.generators_json() == json.dumps([list(u) for u in gens])
+
+    def test_unit_ideal_json(self):
+        I = borel_ideal([(), (1, 3)], Context(5, 2))
+        assert I.to_json() == '{"n": 5, "t": 2, "gens": [[]]}'
+
 
 class TestMinimalize:
     def test_divisor_skips_indices_of_the_multiple(self):
@@ -453,3 +466,39 @@ def test_from_generators_matches_pairwise_filter(case):
     assert I.gens == pairwise_minimalize(gens)
     for u in gens:
         assert contains(I, u)
+
+
+@st.composite
+def generator_runs(draw):
+    """Up to four runs, each a head of up to three indices (at most 9, so
+    closures stay small) and a set of last indices up to n <= 130, so runs
+    have gaps, degrees change between runs and indices reach three digits;
+    sometimes with the unit monomial, for the closure only."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 1, 130))
+    top = min(n - t, 9)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = []
+        for _ in range(draw(st.integers(0, 3))):
+            lo = head[-1] + t if head else 1
+            if lo > top:
+                break
+            head.append(draw(st.integers(lo, top)))
+        lasts = draw(st.sets(st.integers(head[-1] + t if head else 1, n),
+                             min_size=1, max_size=6))
+        gens += [(*head, b) for b in lasts]
+    return Context(n, t), draw(st.permutations(gens)), draw(st.integers(0, 9)) == 0
+
+
+@given(generator_runs(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_generators_json_is_the_json_module_text(case, closed):
+    ctx, gens, unit = case
+    if closed:
+        I = borel_ideal(gens + [()] * unit, ctx)
+    else:
+        I = SpreadIdeal.from_generators(ctx, gens)
+    assert I.generators_json() == json.dumps([list(u) for u in I.all_generators()])
+    if 0 not in I.gens:  # from_json refuses the unit ideal's generator
+        assert SpreadIdeal.from_json(I.to_json()) == I

@@ -92,7 +92,7 @@ class TestEnumerateBorelClosed:
                 assert is_strongly_stable(level)
 
     def test_budget(self):
-        # 128 sets, and masks of 784 bits, under 8 * 100
+        # 128 sets, and masks of 784 bits, under 64 * 100
         assert len(enumerate_borel_closed(Context(9, 2), 2, SearchBudget(max_states=128))) == 128
         with pytest.raises(BudgetExceededError, match="state budget"):
             enumerate_borel_closed(Context(9, 2), 2, SearchBudget(max_states=127))
@@ -158,7 +158,7 @@ class TestEnumerateIdeals:
         assert emitted == expected
 
     def test_budget_interrupts_stream(self):
-        # the layers' masks need 3,755 bits, under 8 * 500
+        # the layers' masks need 3,755 bits, under 64 * 500
         ctx = Context(9, 2)
         budget = SearchBudget(max_states=500)
         seen = []
@@ -371,7 +371,7 @@ class TestCornerSearch:
     @pytest.mark.parametrize("n,t,ell1", [(9, 1, 2), (10, 1, 3)])
     def test_principal_budget_ends_at_the_work_done(self, n, t, ell1):
         # one unit per (state, candidate); at these cells the units, 15,012
-        # and 57,964, reach past the masks' 8 bits per unit (91,963 and
+        # and 57,964, reach past the masks' 64 bits per unit (91,963 and
         # 344,730 bits), so the state count is the cap that trips
         done = _principal_work(n, t, ell1)
         exact = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done))
@@ -466,11 +466,11 @@ class TestCornerSearch:
     def test_mask_bits_at_the_cap_are_built(self):
         # degrees 1..6 of 6 variables hold 6, 15, 20, 15, 6 and 1 monomials:
         # 6*21 + 15*35 + 20*35 + 15*21 + 6*7 + 1*1 = 1,709 bits, and
-        # 8 * 214 = 1,712 >= 1,709 > 1,704 = 8 * 213
-        layers = oracle._layers(Context(6, 1), 1, SearchBudget(max_states=214))
+        # 64 * 27 = 1,728 >= 1,709 > 1,664 = 64 * 26
+        layers = oracle._layers(Context(6, 1), 1, SearchBudget(max_states=27))
         assert [layer.size for layer in layers] == [6, 15, 20, 15, 6, 1]
         with pytest.raises(BudgetExceededError):
-            oracle._layers(Context(6, 1), 1, SearchBudget(max_states=213))
+            oracle._layers(Context(6, 1), 1, SearchBudget(max_states=26))
 
     def test_budget_caps_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -639,9 +639,9 @@ class TestCrossValidate:
         assert report.partial
 
     def test_closure_check_refuses_oversized_masks(self, monkeypatch):
-        # degree 1 of n = 9 needs 81 bits, over 8 * 10
+        # degree 1 of n = 9 needs 81 bits, over 64 * 1
         monkeypatch.setattr(oracle, "_Layer", _no_layer)
-        report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_states=10))
+        report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_states=1))
         closure = report.records[0]
         assert closure["partial"] and closure["cases"] == 0
 
