@@ -18,7 +18,6 @@ entries, listed with k strictly decreasing, form the corner sequence.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
@@ -53,19 +52,6 @@ class BettiTable:
             row[k] = beta
         return {l: out[l] for l in sorted(out)}
 
-    def to_json(self) -> str:
-        return json.dumps({"rows": {str(l): row for l, row in self.rows().items()}})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        data = json.loads(text)
-        entries: dict[tuple[int, int], int] = {}
-        for l_str, row in data["rows"].items():
-            for k, beta in enumerate(row):
-                if beta:
-                    entries[(k, int(l_str))] = int(beta)
-        return cls(entries)
-
 
 @dataclass(frozen=True)
 class CornerSequence:
@@ -87,11 +73,6 @@ class CornerSequence:
             raise TSpreadError(f"not a corner sequence: {self.corners}")
         if len(self.values) != len(self.corners) or any(v < 1 for v in self.values):
             raise TSpreadError(f"bad corner values: {self.values}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"corners": [list(c) for c in self.corners], "values": list(self.values)}
-        )
 
 
 def _shift(t: int, l: int) -> int:

@@ -67,7 +67,7 @@ def cmd_enumerate(args) -> int:
     if args.count:
         print(spread_count(ctx.n_vars, args.d, ctx.spread_t))
     elif args.format == "json":
-        print(json.dumps([list(u) for u in spread_monomials(ctx, args.d)]))
+        print(json.dumps(spread_monomials(ctx, args.d)))
     else:
         for u in spread_monomials(ctx, args.d):
             print(format_monomial(u))
@@ -89,8 +89,8 @@ def cmd_betti(args) -> int:
     corners = corners_from_table(table)
     if args.format == "json":
         payload = {
-            "betti": json.loads(table.to_json()),
-            "corners": json.loads(corners.to_json()),
+            "betti": {"rows": {str(l): row for l, row in table.rows().items()}},
+            "corners": {"corners": corners.corners, "values": corners.values},
         }
         if not table.is_empty:
             payload["regularity"] = regularity(table)
@@ -112,9 +112,15 @@ def cmd_betti(args) -> int:
 def cmd_construct(args) -> int:
     ideal, report = construct_extremal_ideal(args.n, args.t, args.l)
     if args.format == "json":
-        report_json = report.to_json()  # an object: the generators join it last
+        head = json.dumps({
+            "n": args.n, "t": args.t, "ell1": args.l,
+            "d": report.decomp.d, "k": report.decomp.k, "j_max": report.j_max,
+            "s": report.s, "nu_max": report.nu_max, "omegas": report.omegas,
+            "corners": report.predicted_corners.corners, "total": report.total,
+            "regime": report.regime, "critic_index": report.critic_index,
+        })
         # written in pieces: the generators' text is not copied again
-        print(report_json[:-1], ', "gens": ', ideal.generators_json(), "}", sep="")
+        print(head[:-1], ', "gens": ', ideal.generators_json(), "}", sep="")
         return EXIT_OK
     d, k = report.decomp.d, report.decomp.k
     note = " (small-k regime)" if report.regime == "small-k" else ""
@@ -152,7 +158,7 @@ def cmd_table(args) -> int:
 
 def cmd_validate(args) -> int:
     report = cross_validate(args.n, args.t, args.l, args.budget)
-    print(report.to_json_lines())
+    print("\n".join(json.dumps(r, sort_keys=True) for r in report.records))
     if not report.ok:
         return 1
     if report.partial:

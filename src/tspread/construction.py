@@ -21,7 +21,6 @@ independently of the closed forms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .betti import CornerSequence
@@ -137,24 +136,6 @@ class ConstructionReport:
     regime: str  # "general" (k >= 3) or "small-k"
     critic_index: int | None  # position of the critic monomial, if any
 
-    def to_json(self) -> str:
-        payload = {
-            "n": self.ctx.n_vars,
-            "t": self.ctx.spread_t,
-            "ell1": self.ell1,
-            "d": self.decomp.d,
-            "k": self.decomp.k,
-            "j_max": self.j_max,
-            "s": self.s,
-            "nu_max": self.nu_max,
-            "omegas": [list(u) for u in self.omegas],
-            "corners": [list(c) for c in self.predicted_corners.corners],
-            "total": self.total,
-            "regime": self.regime,
-            "critic_index": self.critic_index,
-        }
-        return json.dumps(payload)
-
 
 def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
     """Materialize the corner-witness monomials for (n, t, l1).
@@ -164,18 +145,19 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
     :func:`max_corners`).
     """
     expected = max_corners(n, t, ell1)
-    dec = decompose(n, t)
-    d, k = dec.d, dec.k
     if expected is None:
-        if n < (ell1 - 1) * t + 1:
+        if n < (ell1 - 1) * t + 1:  # n < 1 too: decompose refuses it
             reason = f"no {t}-spread monomial of degree {ell1} in {n} variables"
         else:
+            dec = decompose(n, t)
             reason = (
                 f"initial degree {ell1} exceeds k + floor((d-2)/t) + 1 = "
-                f"{k + (d - 2) // t + 1}"
+                f"{dec.k + (dec.d - 2) // t + 1}"
             )
         raise ConstructionInapplicableError(
             f"no construction for n={n}, t={t}, ell1={ell1}: {reason}")
+    dec = decompose(n, t)
+    d, k = dec.d, dec.k
 
     ctx = Context(n, t)
     jm = j_max(n, t, ell1)

@@ -64,8 +64,6 @@ class SpreadIdeal:
         """
         mons = list(monomials)
         for u in mons:
-            if not u:
-                raise InvalidMonomialError("the unit monomial generates the whole ring")
             _require_t_spread(u, ctx)
         return cls(ctx, _minimalize(mons))
 

@@ -21,7 +21,6 @@ the point: they are compared cell by cell in :func:`cross_validate`.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -240,10 +239,11 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
     degree is exactly l1) and at each later degree every down-set containing
     the shadow of the previous one.  Each ideal is charged to the budget
     before it is yielded, so the walk stops at exactly ``max_states`` ideals
-    or at the timeout.
+    or at the timeout.  At l1 = 0 it yields the unit ideal alone; a negative
+    l1 raises InvalidMonomialError, as :func:`brute_force_max_corners` does.
     """
     budget = budget or SearchBudget()
-    if ell1 < 1 or ell1 > max_spread_degree(ctx.n_vars, ctx.spread_t):
+    if ell1 > max_spread_degree(ctx.n_vars, ctx.spread_t):
         return
     layers = _layers(ctx, ell1, budget)
     meter = _Meter(budget)
@@ -484,7 +484,11 @@ class CrossValidationReport:
     """Outcome of the oracle-versus-formula sweep; one record per check."""
 
     records: list[dict] = field(default_factory=list)
-    partial: bool = False
+
+    @property
+    def partial(self) -> bool:
+        """True iff some check stopped on its budget."""
+        return any(r["partial"] for r in self.records)
 
     @property
     def disagreements(self) -> list[dict]:
@@ -493,9 +497,6 @@ class CrossValidationReport:
     @property
     def ok(self) -> bool:
         return not self.disagreements
-
-    def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
 
 
 def cross_validate(
@@ -522,7 +523,7 @@ def cross_validate(
         k >= 1 when l1 >= 3).
 
     Each check runs under its own meter of ``budget``; exhaustion marks the
-    affected record and the report as partial.
+    affected record, and so the report, as partial.
     Ranges reaching outside the closed forms' domain (see
     :func:`~tspread.construction.require_closed_forms`) raise
     ConstructionInapplicableError before any record is built.
@@ -554,7 +555,7 @@ def cross_validate(
                         if borel_closure_degree(u, ctx) != below:
                             bad += 1
             except BudgetExceededError:
-                partial = report.partial = True
+                partial = True
             report.records.append({
                 "check": "closure-domination", "n": n, "t": t,
                 "cases": checked, "ok": bad == 0, "partial": partial,
@@ -581,7 +582,7 @@ def cross_validate(
                                 and (walked is None or len(via_table.corners) > walked)):
                             walked = len(via_table.corners)
                 except BudgetExceededError:
-                    partial = report.partial = True
+                    partial = True
                 report.records.append({
                     "check": "corner-methods", "n": n, "t": t, "ell1": ell1,
                     "cases": cases, "ok": agree, "partial": partial,
@@ -590,8 +591,6 @@ def cross_validate(
 
                 # (c) brute force vs formula vs construction
                 cell = brute_force_max_corners(ctx, ell1, budget)
-                if cell.partial:
-                    report.partial = True
                 formula = max_corners(n, t, ell1)
                 built = None
                 corners_ok = True

@@ -1,6 +1,8 @@
 """Graded Betti numbers, diagrams, corners by two methods."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -23,6 +25,7 @@ from tspread import (
     render_diagram,
     spread_monomials,
 )
+from tspread.cli import main
 from helpers import GOLDEN_BETTI_ROWS, GOLDEN_CORNERS, GOLDEN_CORNER_VALUES, mult_binom
 
 
@@ -210,20 +213,29 @@ class TestRendering:
 
 
 class TestJson:
-    def test_betti_json(self, golden_ideal):
-        payload = json.loads(graded_betti(golden_ideal).to_json())
-        assert payload == {"rows": {str(l): row for l, row in GOLDEN_BETTI_ROWS.items()}}
+    """The Betti table and its corners as parts of the ``betti --format
+    json`` document, which the command line writes."""
 
-    def test_betti_round_trip(self, golden_ideal):
-        table = graded_betti(golden_ideal)
-        assert BettiTable.from_json(table.to_json()) == table
+    @pytest.fixture(scope="class")
+    def golden_document(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["betti", "--borel", "--gens", "x1*x14,x2*x5*x14,x2*x6*x9*x14",
+                         "-n", "14", "-t", "3", "--format", "json"])
+        assert code == 0
+        return json.loads(out.getvalue())
 
-    def test_corner_json(self, golden_ideal):
-        seq = corners_from_table(graded_betti(golden_ideal))
-        assert json.loads(seq.to_json()) == {
+    def test_betti_json(self, golden_document):
+        assert golden_document["betti"] == {
+            "rows": {str(l): row for l, row in GOLDEN_BETTI_ROWS.items()}}
+
+    def test_corner_json(self, golden_document):
+        assert golden_document["corners"] == {
             "corners": [[10, 2], [7, 3], [4, 4]],
             "values": [1, 1, 1],
         }
+        assert golden_document["regularity"] == 4
+        assert golden_document["proj_dim"] == 10
 
 
 class TestCornerSequenceInvariants:

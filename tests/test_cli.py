@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tspread.cli
-from tspread import construct_extremal_ideal, graded_betti
+from tspread import construct_extremal_ideal, graded_betti, oracle
 from tspread.cli import main
 
 GOLDEN_DIAGRAM = "\n".join([
@@ -154,6 +154,19 @@ class TestBetti:
         code, _, err = run_cli(["betti"], capsys)
         assert code == 3
 
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(["betti", str(tmp_path / "absent.json")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "absent.json" in err
+
+    def test_unit_ideal(self, capsys):
+        code, out, _ = run_cli(["betti", "--gens", "1", "-n", "5", "-t", "2",
+                                "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"betti": {"rows": {"0": [1]}},
+                                   "corners": {"corners": [[0, 0]], "values": [1]},
+                                   "regularity": 0, "proj_dim": 0}
+
 
 class TestConstruct:
     def test_14_3_2(self, capsys):
@@ -203,9 +216,13 @@ class TestConstruct:
         code, out, _ = run_cli(["construct", "-n", str(n), "-t", str(t),
                                 "--format", "json"], capsys)
         ideal, report = construct_extremal_ideal(n, t, 2)
-        payload = json.loads(report.to_json())
-        payload["gens"] = [list(u) for u in ideal.all_generators()]
-        assert code == 0 and out == json.dumps(payload) + "\n"
+        payload = json.loads(out)
+        assert code == 0
+        assert list(payload) == ["n", "t", "ell1", "d", "k", "j_max", "s", "nu_max",
+                                 "omegas", "corners", "total", "regime",
+                                 "critic_index", "gens"]
+        assert payload["gens"] == [list(u) for u in ideal.all_generators()]
+        assert payload["omegas"] == [list(u) for u in report.omegas]
 
     @pytest.mark.parametrize("n,t,l", [(7, 2, 2), (46, 3, 3), (300, 2, 2),
                                        (400, 3, 3), (500, 4, 2)])
@@ -215,8 +232,15 @@ class TestConstruct:
         code, out, _ = run_cli(["construct", "-n", str(n), "-t", str(t), "-l", str(l),
                                 "--format", "json"], capsys)
         ideal, report = construct_extremal_ideal(n, t, l)
-        payload = json.loads(report.to_json())
-        payload["gens"] = ideal.all_generators()
+        payload = {
+            "n": n, "t": t, "ell1": l, "d": report.decomp.d, "k": report.decomp.k,
+            "j_max": report.j_max, "s": report.s, "nu_max": report.nu_max,
+            "omegas": [list(u) for u in report.omegas],
+            "corners": [list(c) for c in report.predicted_corners.corners],
+            "total": report.total, "regime": report.regime,
+            "critic_index": report.critic_index,
+            "gens": [list(u) for u in ideal.all_generators()],
+        }
         assert code == 0 and out == json.dumps(payload) + "\n"
         assert ideal.to_json() == json.dumps(
             {"n": n, "t": t, "gens": ideal.all_generators()})
@@ -230,8 +254,15 @@ class TestConstruct:
         path.write_text(out)
         code, out, _ = run_cli(["betti", str(path), "--format", "json"], capsys)
         ideal, _ = construct_extremal_ideal(150, 2, 2)
+        rows = graded_betti(ideal).rows()
         assert code == 0
-        assert json.loads(out)["betti"] == json.loads(graded_betti(ideal).to_json())
+        assert json.loads(out)["betti"] == {"rows": {str(l): r for l, r in rows.items()}}
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_variables_exits_3(self, capsys, n):
+        code, out, err = run_cli(["construct", "-n", n, "-t", "2"], capsys)
+        assert code == 3 and out == ""
+        assert f"no 2-spread monomial of degree 2 in {n} variables" in err
 
 
 class TestTable:
@@ -301,6 +332,27 @@ class TestTable:
         assert [line.split(",")[3] for line in out.splitlines()[1:]] == [
             "2", "2", "3", "4", "1", "2", "3", "4"]
 
+    def test_json_cells(self, capsys):
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "5:6", "--l", "2:3",
+                                "--brute-force-upto", "5", "--format", "json"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out) == [
+            {"t": 2, "n": 5, "ell1": 2, "value": 1, "provenance": "brute-force",
+             "partial": False},
+            {"t": 2, "n": 6, "ell1": 2, "value": 2, "provenance": "formula",
+             "partial": False},
+            {"t": 2, "n": 5, "ell1": 3, "value": None, "provenance": "brute-force",
+             "partial": False},
+            {"t": 2, "n": 6, "ell1": 3, "value": 1, "provenance": "formula",
+             "partial": False},
+        ]
+
+    def test_bare_range_is_one_value(self, capsys):
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "6", "--l", "2"], capsys)
+        assert code == 0
+        assert out == "| l1 \\ n | 6 |\n|---|---|\n| 2 | 2 |\n"
+
     def test_bad_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "-t", "2", "--n", "9:x", "--l", "2:2"])
@@ -328,6 +380,22 @@ class TestValidate:
         assert code == 0
         for line in out.splitlines():
             assert json.loads(line)["ok"]
+
+    def test_disagreement_exits_1(self, capsys, monkeypatch):
+        search = oracle.brute_force_max_corners
+
+        def overcounting(*args, **kwargs):
+            cell = search(*args, **kwargs)
+            cell.value += 1
+            return cell
+
+        monkeypatch.setattr(oracle, "brute_force_max_corners", overcounting)
+        code, out, _ = run_cli(["validate", "--n", "6:6", "--t", "2:2",
+                                "--l", "2:2"], capsys)
+        assert code == 1
+        cell = json.loads(out.splitlines()[-1])
+        assert cell["check"] == "max-corners" and not cell["ok"]
+        assert (cell["brute"], cell["formula"]) == (3, 2)
 
     def test_partial_exits_4(self, capsys):
         # the walk stops at 3,000 of 3,369 ideals, after 87 closures

@@ -114,8 +114,10 @@ class TestBorelIdeal:
             borel_ideal([(1, 9), (2, 3)], Context(9, 2))
 
     def test_unit_input_is_the_whole_ring(self):
-        I = borel_ideal([(2, 5), (), (1, 3, 6)], Context(9, 2))
+        gens = [(2, 5), (), (1, 3, 6)]
+        I = borel_ideal(gens, Context(9, 2))
         assert I.gens == {0: ((),)}
+        assert SpreadIdeal.from_generators(Context(9, 2), gens) == I
 
     @pytest.mark.parametrize("n,t,gens", [
         # an input that is a prefix of a later one: one trie path ends twice
@@ -349,6 +351,12 @@ class TestJsonInterface:
     def test_unit_ideal_json(self):
         I = borel_ideal([(), (1, 3)], Context(5, 2))
         assert I.to_json() == '{"n": 5, "t": 2, "gens": [[]]}'
+        assert SpreadIdeal.from_json(I.to_json()) == I
+
+    def test_zero_ideal_json(self):
+        I = borel_ideal([], Context(5, 2))
+        assert I.generators_json() == "[]"
+        assert SpreadIdeal.from_json(I.to_json()) == I
 
 
 class TestMinimalize:
@@ -500,5 +508,4 @@ def test_generators_json_is_the_json_module_text(case, closed):
     else:
         I = SpreadIdeal.from_generators(ctx, gens)
     assert I.generators_json() == json.dumps([list(u) for u in I.all_generators()])
-    if 0 not in I.gens:  # from_json refuses the unit ideal's generator
-        assert SpreadIdeal.from_json(I.to_json()) == I
+    assert SpreadIdeal.from_json(I.to_json()) == I

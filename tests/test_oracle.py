@@ -1,5 +1,6 @@
 """Exhaustive enumeration: down-sets, ideal streams, brute-force corners."""
 
+import json
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -9,12 +10,15 @@ from tspread import (
     BudgetExceededError,
     ConstructionInapplicableError,
     Context,
+    InvalidMonomialError,
     InvariantViolationError,
     SearchBudget,
     borel_ideal,
     brute_force_max_corners,
+    corners_from_table,
     cross_validate,
     enumerate_strongly_stable_ideals,
+    graded_betti,
     is_strongly_stable,
     regenerate_table,
     spread_monomials,
@@ -22,6 +26,7 @@ from tspread import (
     table_markdown,
 )
 from tspread import construction, ideals, oracle
+from tspread.cli import main
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.oracle import max_spread_degree
 
@@ -186,6 +191,25 @@ class TestEnumerateIdeals:
             list(enumerate_strongly_stable_ideals(Context(33, 2), 17))
         # past the top t-spread degree there is nothing to walk
         assert list(enumerate_strongly_stable_ideals(Context(40, 2), 25)) == []
+
+    @pytest.mark.parametrize("ell1", [-1, 0, 1])
+    def test_walk_and_search_agree_at_low_initial_degree(self, ell1):
+        # l1 = 0 walks the unit ideal alone; no degree is negative
+        ctx = Context(5, 2)
+        if ell1 < 0:
+            with pytest.raises(InvalidMonomialError):
+                list(enumerate_strongly_stable_ideals(ctx, ell1))
+            with pytest.raises(InvalidMonomialError):
+                brute_force_max_corners(ctx, ell1)
+            return
+        walked = [corners_from_table(graded_betti(i)).corners
+                  for i in enumerate_strongly_stable_ideals(ctx, ell1)]
+        if ell1 == 0:
+            assert walked == [((0, 0),)]
+        cell = brute_force_max_corners(ctx, ell1)
+        assert not cell.partial
+        assert cell.unconstrained == max(map(len, walked))
+        assert cell.value == max(len(c) for c in walked if c[0][1] == ell1)
 
 
 class TestBruteForceMaxCorners:
@@ -555,13 +579,17 @@ class TestCrossValidate:
         assert cross_validate((4, 9), (2, 2), (2, 2)).ok
         assert cross_validate((4, 11), (3, 3), (2, 3)).ok
 
-    def test_json_lines(self):
-        import json
-
+    def test_json_lines(self, capsys):
+        # the validate command writes each record as one sorted-key JSON line
         report = cross_validate((4, 5), (2, 2), (2, 2))
-        for line in report.to_json_lines().splitlines():
+        assert main(["validate", "--n", "4:5", "--t", "2:2", "--l", "2:2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [json.dumps(r, sort_keys=True) for r in report.records]
+        for line in lines:
             record = json.loads(line)
-            assert "check" in record and "ok" in record
+            assert record["check"] in ("closure-domination", "corner-methods",
+                                       "max-corners")
+            assert record["ok"] and not record["partial"]
 
     def test_off_by_one_search_is_reported(self, monkeypatch):
         # the closed form and the largest count walked in (b) both catch it
