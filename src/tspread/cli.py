@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .betti import (corners_from_table, graded_betti, proj_dim, regularity,
@@ -188,6 +189,20 @@ def _budget_arguments(p: argparse.ArgumentParser) -> None:
                    help="cap on the work of each search (default %(default)s)")
 
 
+def _range_parser(sub, name: str, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser whose ranges may start with a minus sign.
+
+    argparse reads ``-3:1`` in ``--n -3:1`` as an option, since it is not a
+    plain negative number.  These parsers read every argument that starts
+    with ``-`` and a digit as a value, so ``--n -3:1`` and ``--n=-3:1``
+    reach the same domain check.  ``_negative_number_matcher`` is private
+    to argparse.
+    """
+    p = sub.add_parser(name, **kwargs)
+    p._negative_number_matcher = re.compile(r"-\.?\d")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tspread",
@@ -221,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("table", help="maximal corner counts over a grid")
+    p = _range_parser(sub, "table", help="maximal corner counts over a grid")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--n", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--l", type=_parse_range, required=True, metavar="A:B")
@@ -232,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("validate", help="cross-validate oracle vs formulas")
+    p = _range_parser(sub, "validate", help="cross-validate oracle vs formulas")
     p.add_argument("--n", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--t", type=_parse_range, required=True, metavar="A:B")
     p.add_argument("--l", type=_parse_range, required=True, metavar="A:B")

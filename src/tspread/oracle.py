@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
                      InvariantViolationError)
-from .ideals import SpreadIdeal, _insertions
+from .ideals import SpreadIdeal
 from .monomials import Context, Monomial, spread_count, spread_monomials
 
 # the most variables the oracle takes: layer builds grow with the square of
@@ -44,15 +44,17 @@ class SearchBudget:
     """Caps for each exhaustive search; exceeding either aborts it with a
     partial-result marker rather than a silent wrong answer.
 
-    ``max_states`` caps the units a search charges to its :class:`_Meter`:
-    the walk of :func:`enumerate_strongly_stable_ideals` one per ideal it
-    yields, the max-corner search one per candidate closure of each state
-    it solves, and check (a) of :func:`cross_validate` one per monomial of
-    the layer for each closure compared.  Units, not bytes: a candidate
-    holds a shadow mask as wide as the next layer.  Layers whose masks
-    would need more than ``64 * max_states`` bits, one unit per 64-bit word,
-    are refused before any is built; at the default budget that caps the
-    masks at about 80 MB.
+    ``max_states`` caps the units a search charges to its :class:`_Meter`.
+    The walk of :func:`enumerate_strongly_stable_ideals` charges one per
+    ideal it yields.  The max-corner search charges, for each state it
+    solves, one unit plus one per free monomial of the state's layer: each
+    is a candidate closure, although the search visits only the
+    Borel-minimal ones of each last index.  Check (a) of
+    :func:`cross_validate` charges one per monomial of the layer for each
+    closure compared.  Units, not bytes: a candidate holds a shadow mask as
+    wide as the next layer.  Layers whose masks would need more than
+    ``64 * max_states`` bits, one unit per 64-bit word, are refused before
+    any is built; at the default budget that caps the masks at about 80 MB.
     ``timeout`` is in wall-clock seconds per search; with it set the clock
     is read at every charge, else never.
     """
@@ -111,9 +113,10 @@ class TableCell:
 
 class _Layer:
     """M_{n,d,t} with bitmask machinery: per monomial u, its up-set in the
-    move order (itself and every monomial reached by raising indices) and
-    the shadow in the next layer of its down-set, written ↓u (itself and
-    every monomial reached by lowering indices)."""
+    move order (itself and every monomial reached by raising indices), the
+    monomials with its last index, and the shadow in the next layer of its
+    down-set, written ↓u (itself and every monomial reached by lowering
+    indices)."""
 
     def __init__(self, ctx: Context, d: int):
         self.ctx = ctx
@@ -122,6 +125,12 @@ class _Layer:
         self.index = {u: i for i, u in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self.maxval = [u[-1] if u else 0 for u in self.monomials]
+        # one mask per last index, shared by its monomials: no mask per
+        # monomial beyond those that _check_mask_bits counts
+        classes: dict[int, int] = {}
+        for q, m in enumerate(self.maxval):
+            classes[m] = classes.get(m, 0) | 1 << q
+        self.same = [classes[m] for m in self.maxval]
         t = ctx.spread_t
         # an immediate predecessor decrements one index and sits earlier in
         # the list; it never has the larger last index
@@ -137,13 +146,21 @@ class _Layer:
         self.up = up
         self.down_shadow = [0] * self.size  # masks into the next layer, see link
 
-    def link(self, nxt: "_Layer") -> None:
-        """Fill in ``down_shadow``: the shadow of ↓u is that of u joined with
-        those of its immediate predecessors, which come first."""
-        down_shadow, index = self.down_shadow, nxt.index
+    def link(self) -> None:
+        """Fill in ``down_shadow``.  A monomial w of the next layer lies in
+        the shadow of ↓u iff w[:-1] <= u componentwise, so the shadow of ↓u
+        is the block of the monomials that extend u by one last index,
+        joined with the shadows of its immediate predecessors, which come
+        first.  Both layers are in ascending tuple order, so the blocks are
+        contiguous and run in the order of this layer."""
+        down_shadow = self.down_shadow
         n, t = self.ctx.n_vars, self.ctx.spread_t
+        start = 0
         for q, u in enumerate(self.monomials):
-            mask = sum(1 << index[v] for v in _insertions(u, n, t))
+            # the last indices that extend u run from u[-1] + t (or 1) to n
+            width = max(0, n + 1 - (u[-1] + t if u else 1))
+            mask = ((1 << width) - 1) << start
+            start += width
             for p in self.preds[q]:
                 mask |= down_shadow[p]
             down_shadow[q] = mask
@@ -184,8 +201,8 @@ def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
     _check_mask_bits([spread_count(ctx.n_vars, d, ctx.spread_t)
                       for d in range(ell1, top + 1)], budget)
     layers = [_Layer(ctx, d) for d in range(ell1, top + 1)]
-    for a in range(len(layers) - 1):
-        layers[a].link(layers[a + 1])
+    for layer in layers[:-1]:
+        layer.link()
     return layers
 
 
@@ -302,19 +319,31 @@ class _PrincipalSearch:
     generator u_l per degree, the shape of the witnesses of the paper.  By
     the same lemma, of the candidates of one mm only the ⊆-minimal shadows
     are kept: each other one has a kept one inside it and the same k.
+
+    So :meth:`choices` need not visit every free u.  If u' lies below u in
+    the move order, then ↓u' ⊆ ↓u, and the shadow of R ∪ ↓u' lies inside
+    that of R ∪ ↓u; if u' also has the last index of u, the candidate of u
+    adds no ⊆-minimal shadow.  The scan therefore visits only the
+    Borel-minimal free monomials of each last index.  Its budget is still
+    charged as if it visited them all: one unit per state plus one per
+    free monomial of the state's layer.
     """
 
     def __init__(self, layers: list[_Layer], budget: SearchBudget):
         self.layers = layers
-        self.meter = _Meter(budget)  # one unit per (state, candidate)
+        self.meter = _Meter(budget)  # per state, one unit and one per free monomial
         self.memo: list[dict] = [{} for _ in layers]
 
     def choices(self, li: int, required: int) -> dict[int, list[int]]:
         """The ⊆-minimal shadows of the candidates of layer ``li`` above
         ``required``, per largest last index mm of their new generators
-        (-1 for the candidate without any)."""
+        (-1 for the candidate without any).
+
+        The scan runs lowest index first, a linear extension of the move
+        order, and after each visit clears the rest of the visited
+        monomial's last-index class above it."""
         layer = self.layers[li]
-        down_shadow, maxval = layer.down_shadow, layer.maxval
+        down_shadow, maxval, up, same = layer.down_shadow, layer.maxval, layer.up, layer.same
         base = _union(down_shadow, required)
         free = ((1 << layer.size) - 1) & ~required
         self.meter.charge(1 + free.bit_count())
@@ -323,7 +352,7 @@ class _PrincipalSearch:
             low = free & -free
             p = low.bit_length() - 1
             shadows.setdefault(maxval[p], set()).add(base | down_shadow[p])
-            free ^= low
+            free &= ~(up[p] & same[p])  # p and the rest of its class above it
         minimal = {}
         for mm, group in shadows.items():
             kept: list[int] = []

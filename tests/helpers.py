@@ -4,11 +4,12 @@ The oracles are deliberately independent of the library's fast paths:
 subset filters, breadth-first closures over the moves, componentwise-
 domination closures, the basis-walk stability test, the literal scan for the
 first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
-walk, the max-corner dynamic program over every down-set, and
-hand-transcribed golden values.  The utilities are small functions only the
-tests need: index helpers, membership by divisibility, the slex successor
-with a fixed last index, the iterated shadow, and the Borel-closed sets of
-one degree listed by the library's down-set search.
+walk, the max-corner dynamic program over every down-set, the max-corner
+candidates scanned over every free monomial, and hand-transcribed golden
+values.  The utilities are small functions only the tests need: index
+helpers, membership by divisibility, the slex successor with a fixed last
+index, the iterated shadow, and the Borel-closed sets of one degree listed
+by the library's down-set search.
 """
 
 from functools import lru_cache
@@ -362,6 +363,27 @@ def dp_max_corners(ctx, ell1, budget=None):
             if k > b and (value is None or r + 1 > value):
                 value = r + 1
     return ideals, unconstrained, value
+
+
+def full_scan_choices(layer, required):
+    """``oracle._PrincipalSearch.choices`` by scanning every free monomial
+    (reference oracle): the shadow of the required down-set joined with
+    that of each free monomial's down-set, grouped by the monomial's last
+    index (-1 for the required down-set alone), and the ⊆-minimal shadows
+    of each group, per last index in order of first appearance."""
+    base = oracle._union(layer.down_shadow, required)
+    groups = {-1: {base}}
+    for p in range(layer.size):
+        if not required >> p & 1:
+            groups.setdefault(layer.maxval[p], set()).add(base | layer.down_shadow[p])
+    minimal = {}
+    for mm, group in groups.items():
+        kept = []
+        for shadow in sorted(group, key=int.bit_count):  # subsets first
+            if all(k & ~shadow for k in kept):
+                kept.append(shadow)
+        minimal[mm] = kept
+    return minimal
 
 
 def contains(ideal, u):

@@ -446,6 +446,23 @@ class TestValidate:
         assert "t=1" in err
 
 
+@pytest.mark.parametrize("head,option,value,rest,needle", [
+    (["table", "-t", "2"], "--n", "-3:1", ["--l", "2:3"], "got -3"),
+    (["table", "-t", "2", "--n", "5:5"], "--l", "-1:3", [], "initial degree -1"),
+    (["validate"], "--n", "-1:1", ["--t", "2", "--l", "2"], "got -1"),
+    (["validate", "--n", "5:5"], "--t", "-1:2", ["--l", "2"], "t=-1"),
+    (["validate", "--n", "5:5", "--t", "2"], "--l", "-1:2", [], "initial degree -1"),
+])
+@pytest.mark.parametrize("joined", [False, True])
+def test_range_starting_with_a_minus_sign_exits_3(capsys, head, option, value, rest,
+                                                  needle, joined):
+    # "--n -3:1" is read as "--n=-3:1", not as a missing value
+    given = [f"{option}={value}"] if joined else [option, value]
+    code, out, err = run_cli(head + given + rest, capsys)
+    assert code == 3 and out == ""
+    assert needle in err
+
+
 class TestArgumentErrors:
     def test_missing_required_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

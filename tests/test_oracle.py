@@ -266,16 +266,40 @@ def _completions(layers, li, required):
             yield b, r
 
 
-def _principal_work(n, t, ell1):
+def _principal_work(n, t, ell1, budget=None):
     """Units the principal search charges for one cell, run as
-    brute_force_max_corners runs it."""
+    brute_force_max_corners runs it, up to the charge that exhausts
+    ``budget`` if one does."""
     search = oracle._PrincipalSearch(oracle._layers(Context(n, t), ell1, SearchBudget()),
-                                     SearchBudget())
-    for mm, shadows in search.choices(0, 0).items():
-        if mm >= 0:
-            for shadow in shadows:
-                search.solve(1, shadow)
+                                     budget or SearchBudget())
+    try:
+        for mm, shadows in search.choices(0, 0).items():
+            if mm >= 0:
+                for shadow in shadows:
+                    search.solve(1, shadow)
+    except BudgetExceededError:
+        pass
     return search.meter.used
+
+
+class TestLayers:
+    def test_down_shadows_are_shadows_of_the_closures(self):
+        # the link lemma by an independent route: ideals.shadow of the whole
+        # degree slice of B_t(u), in every degree, the top one included;
+        # t = 1 stops at n = 10, as n = 12 alone takes 8 s this way
+        checked = 0
+        for t, n_hi in ((1, 10), (2, 12), (3, 12), (4, 12)):
+            for n in range(1, n_hi + 1):
+                ctx = Context(n, t)
+                layers = oracle._layers(ctx, 0, SearchBudget())
+                for li, layer in enumerate(layers):
+                    index = layers[li + 1].index if li + 1 < len(layers) else {}
+                    for q, u in enumerate(layer.monomials):
+                        below = ideals.borel_closure_degree(u, ctx)
+                        want = sum(1 << index[w] for w in ideals.shadow(below, ctx))
+                        assert layer.down_shadow[q] == want, (n, t, u)
+                        checked += 1
+        assert checked == 3_677  # every t-spread monomial, 1 included
 
 
 class TestCornerSearch:
@@ -304,6 +328,50 @@ class TestCornerSearch:
                     assert sorted(found) == sorted(pareto)
                     states += 1
             assert states > 5
+
+    @pytest.mark.parametrize("n,t,ell1", [(12, 2, 3), (13, 2, 2), (10, 1, 2), (14, 3, 2)])
+    def test_choices_match_the_full_scan(self, n, t, ell1):
+        # the scan visits only the Borel-minimal free monomials of each last
+        # index, yet keeps the same shadows; ties in size may come in
+        # another order, which changes no result
+        layers = oracle._layers(Context(n, t), ell1, SearchBudget())
+        search = oracle._PrincipalSearch(layers, SearchBudget())
+        search.solve(0, 0)
+        states = 0
+        for li, memo in enumerate(search.memo):
+            for required in memo:
+                got = search.choices(li, required)
+                want = helpers.full_scan_choices(layers[li], required)
+                assert list(got) == list(want)
+                assert {mm: sorted(kept) for mm, kept in got.items()} == {
+                    mm: sorted(kept) for mm, kept in want.items()}, (li, required)
+                states += 1
+        assert states > 30
+
+    @pytest.mark.parametrize("n,t,ell1,max_states,used", [
+        (12, 2, 3, None, 1_396),
+        (13, 2, 2, None, 16_486),
+        (10, 1, 2, None, 113_129),
+        (14, 3, 2, None, 1_838),
+        (13, 2, 2, 5_000, 5_025),
+        (10, 1, 2, 20_000, 20_094),
+    ])
+    def test_units_are_one_per_free_monomial(self, n, t, ell1, max_states, used):
+        # each state charges one unit plus one per free monomial of its
+        # layer, visited or not: the counts of the scan over every one
+        budget = SearchBudget(max_states=max_states) if max_states else None
+        assert _principal_work(n, t, ell1, budget) == used
+
+    @pytest.mark.parametrize("n,t,ell1,max_states,cell", [
+        (10, 2, 2, 200, (1, 3)),
+        (13, 2, 2, 5_000, (1, 4)),
+        (10, 1, 2, 20_000, (None, None)),
+        (12, 2, 3, 700, (None, None)),
+    ])
+    def test_partial_cells_under_a_small_budget(self, n, t, ell1, max_states, cell):
+        found = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=max_states))
+        assert found.partial
+        assert (found.value, found.unconstrained) == cell
 
     def test_front_counts_a_corner_of_value_two_on_a_synthetic_pair(self):
         # Two made-up layers, each a two-element chain.  Degree 1: y < x,
@@ -394,9 +462,10 @@ class TestCornerSearch:
 
     @pytest.mark.parametrize("n,t,ell1", [(9, 1, 2), (10, 1, 3)])
     def test_principal_budget_ends_at_the_work_done(self, n, t, ell1):
-        # one unit per (state, candidate); at these cells the units, 15,012
-        # and 57,964, reach past the masks' 64 bits per unit (91,963 and
-        # 344,730 bits), so the state count is the cap that trips
+        # one unit per state and per free monomial of its layer; at these
+        # cells the units, 15,012 and 57,964, reach past the masks' 64 bits
+        # per unit (91,963 and 344,730 bits), so the state count is the cap
+        # that trips
         done = _principal_work(n, t, ell1)
         exact = brute_force_max_corners(Context(n, t), ell1, SearchBudget(max_states=done))
         assert not exact.partial
