@@ -11,7 +11,6 @@ from tspread import (
     Context,
     format_monomial,
     is_t_spread,
-    slex_cmp,
     spread_count,
     spread_monomials,
 )
@@ -28,10 +27,11 @@ for u in mons:
     print("   ", format_monomial(u))
 print()
 
-print("slex compares within one degree; the smaller first index wins:")
+print("slex compares within one degree; the smaller first index wins,")
+print("so the slex-greater monomial is the smaller index tuple:")
 u, v = (1, 4), (2, 3)
 print(f"    {format_monomial(u)} vs {format_monomial(v)} ->",
-      "u greater" if slex_cmp(u, v) > 0 else "v greater")
+      "u greater" if u < v else "v greater")
 print()
 
 print("counting formula across a small grid (n=4..12, d=3):")

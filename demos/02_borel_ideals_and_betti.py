@@ -15,7 +15,6 @@ from tspread import (
     graded_betti,
     proj_dim,
     regularity,
-    render_diagram,
     shadow,
 )
 
@@ -36,8 +35,10 @@ for degree in sorted(ideal.gens):
 print()
 
 table = graded_betti(ideal)
-print("Betti diagram (rows: generator degree, columns: homological index):")
-print(render_diagram(table))
+print("Betti table, one row per generator degree l, listing beta_{k,k+l}")
+print("from k = 0 (`tspread betti` prints it as a diagram):")
+for degree, row in table.rows().items():
+    print(f"    {degree}:", row)
 print()
 print("regularity:", regularity(table), " projective dimension:", proj_dim(table))
 

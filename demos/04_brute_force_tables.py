@@ -10,12 +10,11 @@ from tspread import (
     brute_force_max_corners,
     cross_validate,
     enumerate_strongly_stable_ideals,
-    regenerate_table,
-    table_markdown,
 )
+from tspread.cli import main
 
-print("maximal corner counts for t=3 (formula):")
-print(table_markdown(regenerate_table(3, (4, 20), (2, 7))))
+print("maximal corner counts for t=3 (formula), as `tspread table` prints them:")
+main(["table", "-t", "3", "--n", "4:20", "--l", "2:7"])
 print()
 
 ctx = Context(9, 2)

@@ -16,7 +16,6 @@ from .betti import (
     graded_betti,
     proj_dim,
     regularity,
-    render_diagram,
 )
 from .construction import (
     ConstructionReport,
@@ -32,7 +31,6 @@ from .construction import (
 from .errors import (
     BudgetExceededError,
     ConstructionInapplicableError,
-    DegreeMismatchError,
     IdealFormatError,
     InvalidMonomialError,
     InvariantViolationError,
@@ -54,7 +52,6 @@ from .monomials import (
     is_t_spread,
     max_index,
     parse_monomial,
-    slex_cmp,
     slex_sorted,
     spread_count,
     spread_monomials,
@@ -67,8 +64,6 @@ from .oracle import (
     cross_validate,
     enumerate_strongly_stable_ideals,
     regenerate_table,
-    table_csv,
-    table_markdown,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +77,6 @@ __all__ = [
     "CornerSequence",
     "CrossValidationReport",
     "Decomposition",
-    "DegreeMismatchError",
     "IdealFormatError",
     "InvalidMonomialError",
     "InvariantViolationError",
@@ -116,12 +110,8 @@ __all__ = [
     "proj_dim",
     "regenerate_table",
     "regularity",
-    "render_diagram",
     "shadow",
-    "slex_cmp",
     "slex_sorted",
     "spread_count",
     "spread_monomials",
-    "table_csv",
-    "table_markdown",
 ]

@@ -171,28 +171,3 @@ def proj_dim(table: BettiTable) -> int:
         raise TSpreadError("projective dimension of an empty Betti table")
     return max(k for k, _ in table.entries)
 
-
-def render_diagram(table: BettiTable) -> str:
-    """Plain-text Betti diagram: header row of k, one row per degree l.
-
-    Zero positions inside the rectangle print as ``-``.  The empty table
-    renders as an empty string.
-    """
-    if table.is_empty:
-        return ""
-    rows = table.rows()
-    width_k = proj_dim(table) + 1
-    cells: list[list[str]] = [[str(k) for k in range(width_k)]]
-    labels = [""] + [f"{l}:" for l in rows]
-    for l, row in rows.items():
-        padded = row + [0] * (width_k - len(row))
-        cells.append([str(b) if b else "-" for b in padded])
-    col_w = [max(len(r[k]) for r in cells) for k in range(width_k)]
-    lab_w = max(len(s) for s in labels)
-    lines = []
-    for label, row in zip(labels, cells):
-        line = label.ljust(lab_w) + "  " + "  ".join(
-            s.rjust(col_w[k]) for k, s in enumerate(row)
-        )
-        lines.append(line.rstrip())
-    return "\n".join(lines)

@@ -4,9 +4,10 @@ Subcommands map one-to-one onto the library: ``enumerate`` (t-spread
 monomials of one degree), ``betti`` (diagram and corners of an ideal),
 ``construct`` (the maximal-corner witness ideal), ``table`` (maximal corner
 counts over a parameter grid) and ``validate`` (brute force against closed
-forms).  Exit codes: 0 success, 2 argument error, 3 domain error (bad
-monomial, unstable ideal, inapplicable parameters), 4 partial results from
-an exhausted search budget.
+forms).  This module writes every text and JSON document; the library
+returns plain data.  Exit codes: 0 success, 2 argument error, 3 domain error
+(bad monomial, unstable ideal, inapplicable parameters, an ideal file given
+with --gens, -n or -t), 4 partial results from an exhausted search budget.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ import json
 import re
 import sys
 
-from .betti import (corners_from_table, graded_betti, proj_dim, regularity,
-                    render_diagram)
+from .betti import corners_from_table, graded_betti, proj_dim, regularity
 from .construction import construct_extremal_ideal
 from .errors import BudgetExceededError, TSpreadError
 from .ideals import SpreadIdeal, borel_ideal
 from .monomials import (Context, format_monomial, parse_monomial, spread_count,
                         spread_monomials)
-from .oracle import (SearchBudget, cross_validate, regenerate_table, table_csv,
-                     table_markdown)
+from .oracle import SearchBudget, cross_validate, regenerate_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,6 +47,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _load_ideal(args) -> SpreadIdeal:
     if args.ideal_file:
+        given = [opt for opt, value in (("--gens", args.gens), ("-n", args.n),
+                                         ("-t", args.t)) if value is not None]
+        if given:
+            raise TSpreadError(f"an ideal file carries its own generators, n "
+                               f"and t; drop {', '.join(given)}")
         with open(args.ideal_file, "rb") as fh:  # from_json rejects undecodable bytes
             ideal = SpreadIdeal.from_json(fh.read())
     else:
@@ -84,6 +88,48 @@ def _corner_lines(corners) -> list[str]:
     ]
 
 
+def _diagram_lines(table) -> list[str]:
+    """The Betti diagram of a nonempty table: a header row of k, then one
+    row per degree l, with ``-`` for each zero inside the rectangle."""
+    rows = table.rows()
+    width = proj_dim(table) + 1
+    cells = [[str(k) for k in range(width)]]
+    cells += [[str(b) if b else "-" for b in row + [0] * (width - len(row))]
+              for row in rows.values()]
+    labels = [""] + [f"{l}:" for l in rows]
+    col_w = [max(len(r[k]) for r in cells) for k in range(width)]
+    lab_w = max(len(s) for s in labels)
+    return [(label.ljust(lab_w) + "  " + "  ".join(
+                s.rjust(col_w[k]) for k, s in enumerate(row))).rstrip()
+            for label, row in zip(labels, cells)]
+
+
+def _csv_lines(cells) -> list[str]:
+    return ["t,n,ell1,value,provenance"] + [
+        f"{c.t},{c.n},{c.ell1},{'-' if c.value is None else c.value},"
+        f"{c.provenance}{' (partial)' if c.partial else ''}" for c in cells]
+
+
+def _markdown_lines(cells) -> list[str]:
+    """Rows labelled by l1, columns by n: a dash for a cell with no
+    qualifying ideal, ``?`` for a partial cell whose search found no value
+    yet, and ``+`` after a partial cell's lower bound."""
+    ns = sorted({c.n for c in cells})
+    grid = {(c.ell1, c.n): c for c in cells}
+    header = ["l1 \\ n"] + [str(n) for n in ns]
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    for ell in sorted({c.ell1 for c in cells}):
+        row = [str(ell)]
+        for n in ns:
+            c = grid[ell, n]  # regenerate_table fills the whole grid
+            if c.value is None:
+                row.append("?" if c.partial else "-")
+            else:
+                row.append(str(c.value) + ("+" if c.partial else ""))
+        lines.append("| " + " | ".join(row) + " |")
+    return lines
+
+
 def cmd_betti(args) -> int:
     ideal = _load_ideal(args)
     table = graded_betti(ideal)
@@ -98,15 +144,12 @@ def cmd_betti(args) -> int:
             payload["proj_dim"] = proj_dim(table)
         print(json.dumps(payload))
         return EXIT_OK
-    diagram = render_diagram(table)
-    if diagram:
-        print(diagram)
-        print()
-    for line in _corner_lines(corners):
-        print(line)
+    lines = _corner_lines(corners)
     if not table.is_empty:
-        print(f"regularity: {regularity(table)}")
-        print(f"projective dimension: {proj_dim(table)}")
+        lines = _diagram_lines(table) + [""] + lines + [
+            f"regularity: {regularity(table)}",
+            f"projective dimension: {proj_dim(table)}"]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -144,16 +187,15 @@ def cmd_construct(args) -> int:
 def cmd_table(args) -> int:
     cells = regenerate_table(args.t, args.n, args.l, args.budget,
                              brute_force_upto=args.brute_force_upto)
-    if args.format == "csv":
-        print(table_csv(cells))
-    elif args.format == "json":
+    if args.format == "json":
         print(json.dumps([
             {"t": c.t, "n": c.n, "ell1": c.ell1, "value": c.value,
              "provenance": c.provenance, "partial": c.partial}
             for c in cells
         ]))
     else:
-        print(table_markdown(cells))
+        lines = _csv_lines(cells) if args.format == "csv" else _markdown_lines(cells)
+        print("\n".join(lines))
     return EXIT_PARTIAL if any(c.partial for c in cells) else EXIT_OK
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CornerSequence
+from .betti import CornerSequence, corners_via_characterization
 from .errors import ConstructionInapplicableError, InvariantViolationError
 from .ideals import SpreadIdeal, _dominated, _trie_add, borel_ideal
 from .monomials import Context, Monomial, is_t_spread
@@ -213,8 +213,6 @@ def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, Co
     of the result is by construction (it is a Borel closure), so the
     recomputation skips the redundant stability check.
     """
-    from .betti import corners_via_characterization
-
     report = build_omegas(n, t, ell1)
     ideal = borel_ideal(report.omegas, report.ctx)
     got = corners_via_characterization(ideal, check_stability=False)

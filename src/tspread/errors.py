@@ -17,10 +17,6 @@ class IdealFormatError(TSpreadError):
     """Ideal JSON is not an object with int ``n``, ``t`` and index lists ``gens``."""
 
 
-class DegreeMismatchError(TSpreadError):
-    """slex comparison of monomials of different degrees."""
-
-
 class NotStronglyStableError(TSpreadError):
     """Ideal is not t-spread strongly stable.
 

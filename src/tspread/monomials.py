@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from operator import add
 
-from .errors import DegreeMismatchError, InvalidMonomialError
+from .errors import InvalidMonomialError
 
 Monomial = tuple[int, ...]
 
@@ -56,19 +56,6 @@ def is_t_spread(u: Monomial, ctx: Context) -> bool:
     validate_monomial(u, ctx)
     t = ctx.spread_t
     return all(b - a >= t for a, b in zip(u, u[1:]))
-
-
-def slex_cmp(u: Monomial, v: Monomial) -> int:
-    """Three-way squarefree-lex comparison: +1 if u > v, -1 if u < v, 0 if equal.
-
-    Defined only within one degree; mixed degrees raise DegreeMismatchError.
-    """
-    if len(u) != len(v):
-        raise DegreeMismatchError(f"slex compares equal degrees only: {u} vs {v}")
-    if u == v:
-        return 0
-    # smaller index at the first difference means slex-greater
-    return 1 if u < v else -1
 
 
 def slex_sorted(monomials) -> list[Monomial]:

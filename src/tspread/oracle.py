@@ -24,9 +24,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .betti import corners_from_table, corners_via_characterization, graded_betti
+from .construction import construct_extremal_ideal, max_corners, require_closed_forms
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
                      InvariantViolationError)
-from .ideals import SpreadIdeal
+from .ideals import SpreadIdeal, borel_closure_degree
 from .monomials import Context, Monomial, spread_count, spread_monomials
 
 # the most variables the oracle takes: layer builds grow with the square of
@@ -453,8 +455,6 @@ def regenerate_table(
     l1 >= 2).  Otherwise ConstructionInapplicableError is raised before any
     cell is computed.
     """
-    from .construction import max_corners, require_closed_forms
-
     if brute_force_upto >= n_range[0] and ell1_range[0] < 2:
         raise ConstructionInapplicableError(
             "exhaustive cells require initial degree >= 2, got initial "
@@ -473,39 +473,6 @@ def regenerate_table(
                                  provenance="formula")
             cells.append(cell)
     return cells
-
-
-def table_csv(cells: list[TableCell]) -> str:
-    lines = ["t,n,ell1,value,provenance"]
-    for c in cells:
-        value = "-" if c.value is None else str(c.value)
-        prov = c.provenance + (" (partial)" if c.partial else "")
-        lines.append(f"{c.t},{c.n},{c.ell1},{value},{prov}")
-    return "\n".join(lines)
-
-
-def table_markdown(cells: list[TableCell]) -> str:
-    """Rows labelled by l1, columns by n: a dash for a cell with no
-    qualifying ideal, ``?`` for a partial cell whose search found no value
-    yet, and ``+`` after a partial cell's lower bound."""
-    ns = sorted({c.n for c in cells})
-    ells = sorted({c.ell1 for c in cells})
-    grid = {(c.ell1, c.n): c for c in cells}
-    header = ["l1 \\ n"] + [str(n) for n in ns]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
-    for ell in ells:
-        row = [str(ell)]
-        for n in ns:
-            c = grid.get((ell, n))
-            if c is not None and c.value is None and c.partial:
-                row.append("?")
-            elif c is None or c.value is None:
-                row.append("-")
-            else:
-                row.append(str(c.value) + ("+" if c.partial else ""))
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
 
 
 @dataclass
@@ -557,10 +524,6 @@ def cross_validate(
     :func:`~tspread.construction.require_closed_forms`) raise
     ConstructionInapplicableError before any record is built.
     """
-    from .betti import corners_from_table, corners_via_characterization, graded_betti
-    from .construction import construct_extremal_ideal, max_corners, require_closed_forms
-    from .ideals import borel_closure_degree
-
     require_closed_forms(t_range[0], ell1_range[0])
     budget = budget or SearchBudget()
     report = CrossValidationReport()

@@ -6,10 +6,11 @@ domination closures, the basis-walk stability test, the literal scan for the
 first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
 walk, the max-corner dynamic program over every down-set, the max-corner
 candidates scanned over every free monomial, and hand-transcribed golden
-values.  The utilities are small functions only the tests need: index
-helpers, membership by divisibility, the slex successor with a fixed last
-index, the iterated shadow, and the Borel-closed sets of one degree listed
-by the library's down-set search.
+values.  The utilities are small functions only the tests need: the
+paper's definition of the slex order, index helpers, membership by
+divisibility, the slex successor with a fixed last index, the iterated
+shadow, and the Borel-closed sets of one degree listed by the library's
+down-set search.
 """
 
 from functools import lru_cache
@@ -479,6 +480,16 @@ def pairwise_minimalize(monomials):
         if not any(w != u and set(w) <= set(u) for w in distinct):
             by_degree.setdefault(len(u), []).append(u)
     return {d: tuple(slex_sorted(vs)) for d, vs in by_degree.items()}
+
+
+def slex_greater(u, v):
+    """u > v in the squarefree lex order, as the paper defines it for u and
+    v of one degree: at the first position where they differ, u has the
+    smaller index."""
+    for a, b in zip(u, v):
+        if a != b:
+            return a < b
+    return False
 
 
 def min_index(u):

@@ -1,4 +1,4 @@
-"""Graded Betti numbers, diagrams, corners by two methods."""
+"""Graded Betti numbers, regularity, corners by two methods."""
 
 import io
 import json
@@ -22,7 +22,6 @@ from tspread import (
     max_index,
     proj_dim,
     regularity,
-    render_diagram,
     spread_monomials,
 )
 from tspread.cli import main
@@ -196,20 +195,6 @@ class TestRegularityProjDim:
             regularity(BettiTable({}))
         with pytest.raises(TSpreadError):
             proj_dim(BettiTable({}))
-
-
-class TestRendering:
-    def test_golden_diagram(self, golden_ideal):
-        expected = "\n".join([
-            "     0   1    2    3    4    5    6    7   8   9  10",
-            "2:  11  55  165  330  462  462  330  165  55  11   1",
-            "3:   7  28   56   70   56   28    8    1   -   -   -",
-            "4:   3   9   10    5    1    -    -    -   -   -   -",
-        ])
-        assert render_diagram(graded_betti(golden_ideal)) == expected
-
-    def test_empty_diagram(self):
-        assert render_diagram(BettiTable({})) == ""
 
 
 class TestJson:

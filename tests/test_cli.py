@@ -77,11 +77,22 @@ class TestBetti:
         path.write_text(json.dumps({"n": 14, "t": 3, "gens": gens}))
         code, out, _ = run_cli(["betti", str(path)], capsys)
         assert code == 0
-        assert out.startswith(GOLDEN_DIAGRAM + "\n")
-        assert "corners: (10, 2), (7, 3), (4, 4)" in out
-        assert "values: 1, 1, 1" in out
-        assert "regularity: 4" in out
-        assert "projective dimension: 10" in out
+        assert out == "\n".join([
+            GOLDEN_DIAGRAM, "",
+            "corners: (10, 2), (7, 3), (4, 4)",
+            "values: 1, 1, 1",
+            "regularity: 4",
+            "projective dimension: 10",
+        ]) + "\n"
+
+    @pytest.mark.parametrize("option", [["--gens", "x1*x2"], ["-n", "99"], ["-t", "7"]],
+                             ids=lambda option: option[0])
+    def test_ideal_file_with_option_exits_3(self, capsys, tmp_path, option):
+        path = tmp_path / "ideal.json"
+        path.write_text('{"n": 5, "t": 2, "gens": [[1, 3]]}')
+        code, out, err = run_cli(["betti", str(path)] + option, capsys)
+        assert code == 3 and out == ""
+        assert option[0] in err
 
     def test_inline_borel_generators(self, capsys):
         # same ideal entered by its three Borel generators
@@ -100,6 +111,7 @@ class TestBetti:
         assert payload["corners"] == {"corners": [[0, 2]], "values": [1]}
 
     def test_zero_ideal(self, capsys):
+        # the empty table has no diagram, regularity or projective dimension
         code, out, _ = run_cli(["betti", "--gens", "", "-n", "5", "-t", "2"],
                                capsys)
         assert code == 0
@@ -274,6 +286,12 @@ class TestTable:
         assert lines[0] == "| l1 \\ n | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12 |"
         assert lines[2] == "| 2 | 1 | 1 | 1 | 1 | 2 | 2 | 2 | 2 | 3 |"
         assert lines[3] == "| 3 | - | - | - | - | 1 | 1 | 1 | 2 | 2 |"
+        for fmt in ("text", "markdown"):
+            code, out, _ = run_cli(["table", "-t", "2", "--n", "4:6", "--l", "2:3",
+                                    "--format", fmt], capsys)
+            assert code == 0
+            assert out == ("| l1 \\ n | 4 | 5 | 6 |\n|---|---|---|---|\n"
+                           "| 2 | 1 | 1 | 2 |\n| 3 | - | - | 1 |\n")
 
     def test_csv_with_provenance_column(self, capsys):
         code, out, _ = run_cli(["table", "-t", "2", "--n", "4:6", "--l", "2:2",
@@ -284,6 +302,12 @@ class TestTable:
         assert lines[0] == "t,n,ell1,value,provenance"
         assert lines[1] == "2,4,2,1,brute-force"
         assert lines[3] == "2,6,2,2,formula"
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "4:5", "--l", "2:3",
+                                "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["t,n,ell1,value,provenance",
+                                    "2,4,2,1,formula", "2,5,2,1,formula",
+                                    "2,4,3,-,formula", "2,5,3,-,formula"]
 
     def test_partial_budget_exits_4(self, capsys):
         code, out, _ = run_cli(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
@@ -298,6 +322,13 @@ class TestTable:
                                capsys)
         assert code == 4
         assert out.splitlines()[2] == "| 2 | 2 | 1+ | ? |"
+        code, out, _ = run_cli(["table", "-t", "2", "--n", "8:10", "--l", "2:2",
+                                "--brute-force-upto", "10", "--max-states", "150",
+                                "--format", "csv"], capsys)
+        assert code == 4
+        assert out.splitlines()[1:] == ["2,8,2,2,brute-force",
+                                        "2,9,2,1,brute-force (partial)",
+                                        "2,10,2,-,brute-force (partial)"]
 
     def test_mask_bits_do_not_refuse_a_cell_the_search_settles(self, capsys):
         # the search settles the cell in 552 units, and the masks' 9,879 bits

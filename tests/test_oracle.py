@@ -22,10 +22,8 @@ from tspread import (
     is_strongly_stable,
     regenerate_table,
     spread_monomials,
-    table_csv,
-    table_markdown,
 )
-from tspread import construction, ideals, oracle
+from tspread import ideals, oracle
 from tspread.cli import main
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.oracle import max_spread_degree
@@ -619,19 +617,6 @@ class TestRegenerateTable:
         assert by_key[(4, 2)].value == 1
         assert by_key[(5, 3)].value is None
 
-    def test_csv_format(self):
-        cells = regenerate_table(2, (4, 5), (2, 3))
-        lines = table_csv(cells).splitlines()
-        assert lines[0] == "t,n,ell1,value,provenance"
-        assert lines[1] == "2,4,2,1,formula"
-        assert "2,4,3,-,formula" in lines
-
-    def test_markdown_grid(self):
-        text = table_markdown(regenerate_table(2, (4, 6), (2, 3)))
-        assert text.splitlines()[0] == "| l1 \\ n | 4 | 5 | 6 |"
-        assert "| 2 | 1 | 1 | 2 |" in text
-        assert "| 3 | - | - | 1 |" in text
-
 
 class TestCrossValidate:
     def test_small_sweep_is_clean(self):
@@ -676,8 +661,8 @@ class TestCrossValidate:
     def test_wrong_closure_is_reported(self, monkeypatch):
         # check (a) compares closures with the oracle's own move order, so a
         # closure search that drops a monomial is caught
-        closure = ideals.borel_closure_degree
-        monkeypatch.setattr(ideals, "borel_closure_degree",
+        closure = oracle.borel_closure_degree
+        monkeypatch.setattr(oracle, "borel_closure_degree",
                             lambda u, ctx: closure(u, ctx)[1:])
         report = cross_validate((5, 5), (2, 2), (2, 2))
         assert [r["check"] for r in report.disagreements] == ["closure-domination"]
@@ -686,13 +671,13 @@ class TestCrossValidate:
         # check (c) reads the corners off the Betti table of the built ideal,
         # so an ideal that misses a witness is caught although the report
         # still predicts every corner
-        build = construction.construct_extremal_ideal
+        build = oracle.construct_extremal_ideal
 
         def short(n, t, ell1):
             ideal, rep = build(n, t, ell1)
             return borel_ideal(rep.omegas[:-1], rep.ctx), rep
 
-        monkeypatch.setattr(construction, "construct_extremal_ideal", short)
+        monkeypatch.setattr(oracle, "construct_extremal_ideal", short)
         report = cross_validate((8, 8), (2, 2), (2, 2))
         [bad] = report.disagreements
         assert bad["check"] == "max-corners"
@@ -702,7 +687,7 @@ class TestCrossValidate:
         def failing(n, t, ell1):
             raise InvariantViolationError("corner verification failed")
 
-        monkeypatch.setattr(construction, "construct_extremal_ideal", failing)
+        monkeypatch.setattr(oracle, "construct_extremal_ideal", failing)
         report = cross_validate((8, 8), (2, 2), (2, 3))
         assert [r["check"] for r in report.disagreements] == ["max-corners"] * 2
         for record in report.disagreements:
