@@ -1,4 +1,4 @@
-"""Graded Betti numbers, regularity, corners by two methods."""
+"""Graded Betti numbers, diagrams, regularity, corners by two methods."""
 
 import io
 import json
@@ -24,6 +24,7 @@ from tspread import (
     regularity,
     spread_monomials,
 )
+from tspread import cli
 from tspread.cli import main
 from helpers import GOLDEN_BETTI_ROWS, GOLDEN_CORNERS, GOLDEN_CORNER_VALUES, mult_binom
 
@@ -195,6 +196,27 @@ class TestRegularityProjDim:
             regularity(BettiTable({}))
         with pytest.raises(TSpreadError):
             proj_dim(BettiTable({}))
+
+
+class TestRendering:
+    """The Betti diagram, which the command line lays out."""
+
+    def test_golden_diagram(self, golden_ideal):
+        expected = [
+            "     0   1    2    3    4    5    6    7   8   9  10",
+            "2:  11  55  165  330  462  462  330  165  55  11   1",
+            "3:   7  28   56   70   56   28    8    1   -   -   -",
+            "4:   3   9   10    5    1    -    -    -   -   -   -",
+        ]
+        assert cli._diagram_lines(graded_betti(golden_ideal)) == expected
+
+    def test_empty_diagram(self):
+        # the zero ideal's table is empty, so betti prints no diagram rows
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["betti", "--gens", "", "-n", "5", "-t", "2"])
+        assert code == 0
+        assert out.getvalue() == "corners: none\n"
 
 
 class TestJson:

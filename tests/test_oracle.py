@@ -23,7 +23,7 @@ from tspread import (
     regenerate_table,
     spread_monomials,
 )
-from tspread import ideals, oracle
+from tspread import cli, ideals, oracle
 from tspread.cli import main
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.oracle import max_spread_degree
@@ -616,6 +616,18 @@ class TestRegenerateTable:
         assert by_key[(6, 2)].provenance == "formula"
         assert by_key[(4, 2)].value == 1
         assert by_key[(5, 3)].value is None
+
+    def test_csv_format(self):
+        lines = cli._csv_lines(regenerate_table(2, (4, 5), (2, 3)))
+        assert lines[0] == "t,n,ell1,value,provenance"
+        assert lines[1] == "2,4,2,1,formula"
+        assert "2,4,3,-,formula" in lines
+
+    def test_markdown_grid(self):
+        lines = cli._markdown_lines(regenerate_table(2, (4, 6), (2, 3)))
+        assert lines[0] == "| l1 \\ n | 4 | 5 | 6 |"
+        assert "| 2 | 1 | 1 | 2 |" in lines
+        assert "| 3 | - | - | 1 |" in lines
 
 
 class TestCrossValidate:
