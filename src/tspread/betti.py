@@ -18,13 +18,11 @@ entries, listed with k strictly decreasing, form the corner sequence.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
 from .errors import TSpreadError
 from .ideals import SpreadIdeal, require_strongly_stable
-from .monomials import max_index
 
 
 @dataclass(frozen=True)
@@ -65,13 +63,11 @@ class CornerSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        ks = [k for k, _ in self.corners]
-        ls = [l for _, l in self.corners]
-        if any(a <= b for a, b in zip(ks, ks[1:])) or any(
-            a >= b for a, b in zip(ls, ls[1:])
-        ):
-            raise TSpreadError(f"not a corner sequence: {self.corners}")
-        if len(self.values) != len(self.corners) or any(v < 1 for v in self.values):
+        corners = self.corners
+        for (k, l), (k_next, l_next) in zip(corners, corners[1:]):
+            if k <= k_next or l >= l_next:
+                raise TSpreadError(f"not a corner sequence: {corners}")
+        if len(self.values) != len(corners) or min(self.values, default=1) < 1:
             raise TSpreadError(f"bad corner values: {self.values}")
 
 
@@ -94,13 +90,16 @@ def graded_betti(ideal: SpreadIdeal) -> BettiTable:
         # one term per run of consecutive m with equal multiplicity, not one
         # per generator
         shift = _shift(t, l)
-        ms = Counter(max_index(u) - shift for u in gens)
+        ms: dict[int, int] = {}  # max(u) - shift -> generators with it
+        for m in [u[-1] - shift for u in gens] if l else [0]:  # degree 0: the unit
+            ms[m] = ms.get(m, 0) + 1
         runs: list[list[int]] = []  # [a, b, multiplicity]
         for m in sorted(ms):
-            if runs and runs[-1][1] == m - 1 and runs[-1][2] == ms[m]:
+            mult = ms[m]
+            if runs and runs[-1][1] == m - 1 and runs[-1][2] == mult:
                 runs[-1][1] = m
             else:
-                runs.append([m, m, ms[m]])
+                runs.append([m, m, mult])
         for a, b, mult in runs:
             for k in range(b + 1):
                 beta = mult * (comb(b + 1, k + 1) - comb(a, k + 1))
@@ -116,7 +115,8 @@ def corners_from_table(table: BettiTable) -> CornerSequence:
     """
     row_max: dict[int, int] = {}
     for k, l in table.entries:
-        row_max[l] = max(k, row_max.get(l, -1))
+        if k > row_max.get(l, -1):
+            row_max[l] = k
     corners = []
     best = -1
     for l in sorted(row_max, reverse=True):

@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify cells with n <= N by exhaustive enumeration")
     _budget_arguments(p)
     p.add_argument("--format", choices=["text", "json", "markdown", "csv"],
-                   default="text")
+                   default="text",
+                   help="text and markdown print the same Markdown grid")
     p.set_defaults(func=cmd_table)
 
     p = _range_parser(sub, "validate", help="cross-validate oracle vs formulas")

@@ -8,13 +8,14 @@ every closure here is one prefix-domination search, :func:`_dominated`, which
 derives minimal generators degree by degree.  The literal breadth-first search
 over the moves x_i * (u / x_j) is an independent oracle in the test suite.
 
-One membership structure, a prefix trie with one dict per index
-(:func:`_trie_add`), serves the closure, the minimalization and the
-stability gate.  The closure search carries the trie nodes of the inputs of
-lower degree whose prefixes still dominate the one it is fixing; the
-minimalization walks a candidate's own indices down the trie of the
-generators kept so far; the gate tests each unit decrement of a generator
-by one walk along its own path in the trie of the generators.
+One membership structure, a prefix trie with one dict per index, serves
+the closure, the minimalization and the stability gate.  The closure search
+carries the trie nodes of the inputs of lower degree whose prefixes still
+dominate the one it is fixing; the minimalization walks a candidate's own
+indices down the trie of the generators kept so far.  The gate makes one
+pass over the generators: it tests each unit decrement of a generator by
+one walk along its own path in the trie of the generators before it, then
+inserts the generator.
 """
 
 from __future__ import annotations
@@ -336,17 +337,21 @@ def generator_move_violation(ideal: SpreadIdeal):
        prefix of it has lower degree; the generators of lower degree passed,
        their decrements having generator prefixes of no higher degree, so by
        1-2 they generate a strongly stable J, and 3 gives w a prefix in J.
+       The generators before u in this order suffice to find a prefix of w:
+       a generator g that is a prefix of a decrement w of u has degree at
+       most deg u.  If it is lower, g comes first by degree; if it is equal,
+       g is w itself, which is slex-greater than u and so comes first in
+       its degree.
 
-    So each decrement of u at position p is one walk along its own path in
-    the generators' prefix trie from u's node at depth p, since a minimal
-    generator has no generator as a proper prefix.
+    So one pass decides: each generator u is tested against the prefix trie
+    of the generators before it, then inserted.  Each decrement of u at
+    position p is one walk along its own path from u's node at depth p,
+    since a minimal generator has no generator as a proper prefix.
     """
     t = ideal.ctx.spread_t
-    gens = ideal.all_generators()
     trie: dict = {}
-    _trie_add(trie, gens)
-    for u in gens:
-        node = trie  # u's node at depth p
+    for u in ideal.all_generators():
+        node = trie  # u's node at depth p, made as u is walked
         for p, a in enumerate(u):
             if a > 1 and (p == 0 or a - 1 - u[p - 1] >= t):
                 walk, q = node.get(a - 1), p + 1
@@ -354,7 +359,8 @@ def generator_move_violation(ideal: SpreadIdeal):
                     walk, q = walk.get(u[q]), q + 1
                 if not walk or _END not in walk:
                     return u, a, a - 1, u[:p] + (a - 1,) + u[p + 1:]
-            node = node[a]
+            node = node.setdefault(a, {})
+        node[_END] = True
     return None
 
 

@@ -252,7 +252,9 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
 
     Yields :class:`SpreadIdeal` values (minimal generators) in a fixed
     deterministic order; raises BudgetExceededError mid-stream when a cap is
-    hit, so everything yielded before the error is valid but partial.
+    hit, so everything yielded before the error is valid but partial.  Each
+    ideal owns its ``gens`` dict; the ideals below one chain link share
+    that link's generator tuple.
 
     The walk takes a nonempty down-set at the first layer (so the initial
     degree is exactly l1) and at each later degree every down-set containing
@@ -273,12 +275,13 @@ def enumerate_strongly_stable_ideals(ctx: Context, ell1: int, budget: SearchBudg
         for gens, shadow in _down_sets(layer, required):
             if li == 0 and gens == 0:
                 continue
-            link = chain + [(layer, gens)] if gens else chain
+            # a down-set's generators are listed once, when it joins the chain
+            link = chain + [(layer.d, tuple(layer.members(gens)))] if gens else chain
             if li < last:
                 yield from walk(li + 1, shadow, link)
             else:
                 meter.charge()
-                yield SpreadIdeal(ctx, {lay.d: tuple(lay.members(mask)) for lay, mask in link})
+                yield SpreadIdeal(ctx, dict(link))  # each ideal owns its gens
 
     yield from walk(0, 0, [])
 

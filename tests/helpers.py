@@ -5,12 +5,12 @@ subset filters, breadth-first closures over the moves, componentwise-
 domination closures, the basis-walk stability test, the literal scan for the
 first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
 walk, the max-corner dynamic program over every down-set, the max-corner
-candidates scanned over every free monomial, and hand-transcribed golden
-values.  The utilities are small functions only the tests need: the
-paper's definition of the slex order, index helpers, membership by
-divisibility, the slex successor with a fixed last index, the iterated
-shadow, and the Borel-closed sets of one degree listed by the library's
-down-set search.
+candidates scanned over every free monomial, the Betti numbers read off
+linear quotients, and hand-transcribed golden values.  The utilities are
+small functions only the tests need: the paper's definition of the slex
+order, index helpers, membership by divisibility, the slex successor with a
+fixed last index, the iterated shadow, and the Borel-closed sets of one
+degree listed by the library's down-set search.
 """
 
 from functools import lru_cache
@@ -460,6 +460,38 @@ def mult_binom(a, b):
     for i in range(1, b + 1):
         result = result * (a - b + i) // i
     return result
+
+
+def linear_quotient_betti(ideal):
+    """Graded Betti numbers from linear quotients, without the closed formula:
+    ``{(k, l): beta_{k,k+l}}`` with
+    beta_{k,k+l} = sum over u in G(I)_l of binom(|set(u)|, k).
+
+    set(u_j) is read literally off the colon ideal (u_1, ..., u_{j-1}) : u_j,
+    generators in ``all_generators`` order.  For squarefree monomials,
+    (u_i) : u_j is generated by the product of the variables of u_i outside
+    u_j, so the colon ideal is generated by those supports, held here as
+    bitmasks.  set(u_j) is the set of its variable generators; a support
+    that no variable generator divides means a minimal generator of degree
+    two or more, and ValueError is raised.  Binomials are ``mult_binom``.
+    """
+    entries = {}
+    earlier = []  # supports of the generators before u, as bitmasks
+    for u in ideal.all_generators():
+        mask = sum(1 << i for i in u)
+        colon = [g & ~mask for g in earlier]
+        variables = 0
+        for c in colon:
+            if c and not c & (c - 1):  # a single variable
+                variables |= c
+        if any(not c & variables for c in colon):
+            raise ValueError(f"the colon ideal of the generators before "
+                             f"{format_monomial(u)} is not generated by variables")
+        size, l = variables.bit_count(), len(u)
+        for k in range(size + 1):
+            entries[(k, l)] = entries.get((k, l), 0) + mult_binom(size, k)
+        earlier.append(mask)
+    return entries
 
 
 def table_cells(table, t):

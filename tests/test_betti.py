@@ -26,7 +26,8 @@ from tspread import (
 )
 from tspread import cli
 from tspread.cli import main
-from helpers import GOLDEN_BETTI_ROWS, GOLDEN_CORNERS, GOLDEN_CORNER_VALUES, mult_binom
+from helpers import (GOLDEN_BETTI_ROWS, GOLDEN_CORNERS, GOLDEN_CORNER_VALUES,
+                     linear_quotient_betti, mult_binom)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,29 @@ class TestGradedBetti:
                     for k in range(m + 1):
                         expected[(k, l)] = expected.get((k, l), 0) + mult_binom(m, k)
             assert graded_betti(ideal).entries == expected
+
+    @pytest.mark.parametrize("n,t,ell1", [(7, 2, 2), (8, 2, 2), (8, 2, 3), (9, 3, 2)])
+    def test_linear_quotients_on_walked_ideals(self, n, t, ell1):
+        # an independent route to the table: the colon ideals of the
+        # generators, not the closed formula
+        for ideal in enumerate_strongly_stable_ideals(Context(n, t), ell1):
+            assert graded_betti(ideal).entries == linear_quotient_betti(ideal)
+
+    @pytest.mark.parametrize("n,t,ell1", [(46, 3, 2), (60, 4, 2), (60, 2, 2)])
+    def test_linear_quotients_on_constructed_ideals(self, n, t, ell1):
+        ideal, _ = construct_extremal_ideal(n, t, ell1)
+        assert graded_betti(ideal).entries == linear_quotient_betti(ideal)
+
+    def test_linear_quotients_on_the_unit_and_golden_ideals(self, golden_ideal):
+        unit = borel_ideal([()], Context(5, 2))
+        assert linear_quotient_betti(unit) == graded_betti(unit).entries == {(0, 0): 1}
+        assert linear_quotient_betti(golden_ideal) == graded_betti(golden_ideal).entries
+
+    def test_linear_quotients_refuse_a_colon_ideal_without_linear_generators(self):
+        # (x1*x4) : x2*x3 = (x1*x4), whose generator is no variable
+        ideal = SpreadIdeal.from_generators(Context(4, 1), [(1, 4), (2, 3)])
+        with pytest.raises(ValueError, match="x2\\*x3"):
+            linear_quotient_betti(ideal)
 
     def test_rejects_unstable_ideal(self):
         I = SpreadIdeal.from_generators(Context(9, 2), [(2, 5)])

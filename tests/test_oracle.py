@@ -134,6 +134,19 @@ class TestEnumerateIdeals:
         # distinct ideals only
         assert len(set(first)) == len(first)
 
+    def test_each_ideal_owns_its_generators(self):
+        # ideals below one chain link share its generator tuple; mutating
+        # the gens of a yielded ideal must leave every later ideal unchanged
+        ctx = Context(8, 2)
+        expected = [i.to_json() for i in enumerate_strongly_stable_ideals(ctx, 2)]
+        seen = []
+        for ideal in enumerate_strongly_stable_ideals(ctx, 2):
+            seen.append(ideal.to_json())
+            for d in list(ideal.gens):
+                ideal.gens[d] = ideal.gens[d][1:]
+            ideal.gens[ctx.n_vars] = ((1,),)
+        assert seen == expected
+
     def test_stream_covers_every_stable_ideal_small(self):
         # cross-check completeness against a straight subset search in a tiny
         # case: n=5, t=2 ideals of initial degree 2

@@ -1,6 +1,9 @@
-"""The package namespace and its export list."""
+"""The package namespace, its export list and its declared dependencies."""
 
 import types
+from pathlib import Path
+
+import pytest
 
 import tspread
 
@@ -13,3 +16,12 @@ def test_export_list_matches_namespace():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(tspread.__all__) == len(set(tspread.__all__))
     assert set(namespace) == set(tspread.__all__) == public
+
+
+def test_no_runtime_dependencies():
+    # tspread runs on the standard library alone
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []
