@@ -12,7 +12,9 @@ One membership structure, a prefix trie with one dict per index, serves
 the closure, the minimalization and the stability gate.  The closure search
 carries the trie nodes of the inputs of lower degree whose prefixes still
 dominate the one it is fixing; the minimalization walks a candidate's own
-indices down the trie of the generators kept so far.  The gate makes one
+indices down the trie of the generators kept so far.  Each trie node also
+keeps the largest key of a child where a monomial ends, so the closure
+reads a carried node's marked children with one lookup.  The gate makes one
 pass over the generators: it tests each unit decrement of a generator by
 one walk along its own path in the trie of the generators before it, then
 inserts the generator.
@@ -131,15 +133,25 @@ class SpreadIdeal:
 
 
 _END = 0  # trie key that names no variable: a monomial ends at this node
+_LAST_END = -1  # nor this one: the largest key of a child holding _END
 
 
 def _trie_add(trie: dict, monomials) -> None:
-    """Insert monomials into a prefix trie, one dict per index."""
+    """Insert monomials into a prefix trie, one dict per index.
+
+    Besides the index keys, a node may hold two reserved keys that name no
+    variable: ``_END`` when a monomial ends there, and ``_LAST_END``, the
+    largest key of a child of the node that holds ``_END`` (absent when no
+    child does), which lets :func:`_dominated` read a node's marked
+    children with one lookup.
+    """
     for u in monomials:
-        node = trie
+        node = parent = trie
         for a in u:
-            node = node.setdefault(a, {})
+            parent, node = node, node.setdefault(a, {})
         node[_END] = True
+        if u and parent.get(_LAST_END, 0) < u[-1]:
+            parent[_LAST_END] = u[-1]
 
 
 def _divisible(trie: dict, u: Monomial) -> bool:
@@ -204,11 +216,13 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
     Each input is met this way at the position of its last index, so v
     escapes every input iff at no position does a carried node have a
     child with key >= v_p that carries the end mark.  The search applies
-    this test to a whole position at once: its candidates start above the
-    largest key of a marked child of its carried nodes, so the children
-    kept for the next position never carry a mark.  The construction's
-    inputs share long prefixes (head + body_j is a prefix of omega_{j+1}),
-    so one to three nodes are carried where a list would hold every input.
+    this test to a whole position at once, with one lookup per kept child:
+    a node's ``_LAST_END`` mark is the largest key of its marked children,
+    so the candidates for the next position start above the mark of every
+    child kept there, and the children kept at that position never carry
+    an end mark.  The construction's inputs share long prefixes (head +
+    body_j is a prefix of omega_{j+1}), so one to three nodes are carried
+    where a list would hold every input.
 
     The search runs depth-first on an explicit stack with one frame per
     fixed position, ``(p, live, nodes, values)``, whose iterator ``values``
@@ -224,7 +238,7 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
         return [()]
     u = [0] * deg
     last = deg - 1
-    lo = max([key + 1 for key, child in earlier.items() if _END in child], default=1)
+    lo = earlier.get(_LAST_END, 0) + 1
     hi = min(max([w[0] for w in tops]), n - t * last)
     stack = [(0, tops, [earlier], iter(range(lo, hi + 1)))]
     while stack:
@@ -239,20 +253,21 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
         q = p + 1
         cap = n - t * (last - q)
         for v in values:
-            u[p] = v
             lo, nxt = v + t, []
             for node in nodes:
                 for key, child in node.items():
                     if key >= v:
                         nxt.append(child)
-                        for below, grand in child.items():
-                            if below >= lo and _END in grand:
-                                lo = below + 1  # v_q <= below: a multiple
-            # a lone top needs no filtering, which saves the construction
-            # (one top per degree) about a tenth of its search time
+                        mark = child.get(_LAST_END, 0)
+                        if mark >= lo:
+                            lo = mark + 1  # v_q <= mark: a multiple
+            # a lone top needs no filtering (the construction has one per degree)
             above = live if len(live) == 1 else [w for w in live if v <= w[p]]
-            hi = min(above[0][q] if len(above) == 1 else max([w[q] for w in above]), cap)
+            hi = above[0][q] if len(above) == 1 else max([w[q] for w in above])
+            if hi > cap:
+                hi = cap
             if lo <= hi:  # else a dead end: push no frame for it
+                u[p] = v
                 stack.append((q, above, nxt, iter(range(lo, hi + 1))))
                 break
         else:

@@ -51,11 +51,18 @@ def validate_monomial(u: Monomial, ctx: Context) -> None:
 def is_t_spread(u: Monomial, ctx: Context) -> bool:
     """True iff all consecutive index gaps of u are >= t.
 
-    Vacuously true in degree <= 1, including the monomial 1.
+    Vacuously true in degree <= 1, including the monomial 1.  Raises
+    InvalidMonomialError on a malformed u (see :func:`validate_monomial`).
+    Since t >= 1, gaps >= t already make the indices strictly increasing,
+    so a u that passes the gap and range test is well formed, and the
+    validation runs only when that test fails.
     """
-    validate_monomial(u, ctx)
     t = ctx.spread_t
-    return all(b - a >= t for a, b in zip(u, u[1:]))
+    if not u or (u[0] >= 1 and u[-1] <= ctx.n_vars
+                 and all(b - a >= t for a, b in zip(u, u[1:]))):
+        return True
+    validate_monomial(u, ctx)
+    return False
 
 
 def slex_sorted(monomials) -> list[Monomial]:

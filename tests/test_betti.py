@@ -77,7 +77,8 @@ class TestGradedBetti:
                         expected[(k, l)] = expected.get((k, l), 0) + mult_binom(m, k)
             assert graded_betti(ideal).entries == expected
 
-    @pytest.mark.parametrize("n,t,ell1", [(7, 2, 2), (8, 2, 2), (8, 2, 3), (9, 3, 2)])
+    @pytest.mark.parametrize("n,t,ell1", [(7, 2, 2), (8, 2, 2), (8, 2, 3), (9, 3, 2),
+                                          (6, 1, 2), (6, 1, 3)])
     def test_linear_quotients_on_walked_ideals(self, n, t, ell1):
         # an independent route to the table: the colon ideals of the
         # generators, not the closed formula

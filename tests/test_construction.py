@@ -8,6 +8,7 @@ from tspread import (
     InvalidMonomialError,
     NotTSpreadError,
     SpreadIdeal,
+    borel_ideal,
     build_omegas,
     construct_extremal_ideal,
     corners_via_characterization,
@@ -273,6 +274,16 @@ class TestConstructExtremalIdeal:
             _, rep = construct_extremal_ideal(n, t, ell1)
             for k, l in rep.predicted_corners.corners:
                 assert k + t * (l - 1) + 1 == n
+
+    @pytest.mark.parametrize("n,t,ell1", [(300, 2, 2), (400, 3, 3), (500, 4, 2),
+                                          (2100, 2, 1000)])
+    def test_large_closures_are_one_run_per_degree(self, n, t, ell1):
+        # degree l1 + j holds exactly the run omega_j[:-1] + (v,) with
+        # omega_j[-2] + t <= v <= n: the search at depths beyond the BFS oracle
+        rep = build_omegas(n, t, ell1)
+        want = {len(w): tuple(w[:-1] + (v,) for v in range(w[-2] + t, n + 1))
+                for w in rep.omegas}
+        assert borel_ideal(rep.omegas, rep.ctx).gens == want
 
 
 class TestOmegaClaimCheck:

@@ -22,7 +22,7 @@ from tspread import (
     shadow,
     spread_monomials,
 )
-from tspread.ideals import generator_move_violation
+from tspread.ideals import _END, _LAST_END, _trie_add, generator_move_violation
 from tspread.oracle import max_spread_degree
 
 
@@ -131,6 +131,8 @@ class TestBorelIdeal:
         # the unit monomial among the inputs
         (9, 2, [(1, 4, 7), ()]),
         (9, 2, [(), (2, 5)]),
+        # two marked children under one parent, read by the degree-three search
+        (12, 2, [(2, 6), (2, 9), (3, 7, 11)]),
     ])
     def test_matches_bfs_oracle_on_trie_shapes(self, n, t, gens):
         ctx = Context(n, t)
@@ -432,6 +434,35 @@ def borel_inputs(draw):
 def test_borel_ideal_matches_bfs_oracle(case):
     ctx, gens = case
     assert borel_ideal(gens, ctx) == bfs_borel_ideal(gens, ctx)
+
+
+@st.composite
+def trie_batches(draw):
+    """Two to four lists of t-spread monomials of every degree, the unit
+    monomial included, each list one :func:`_trie_add` call."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 1, 11))
+    ctx = Context(n, t)
+    pool = [u for d in range(max_spread_degree(n, t) + 1)
+            for u in spread_monomials(ctx, d)]
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=6),
+                         min_size=2, max_size=4))
+
+
+@given(trie_batches())
+@settings(max_examples=100, deadline=None)
+def test_trie_mark_is_the_largest_marked_child(batches):
+    trie: dict = {}
+    for batch in batches:
+        _trie_add(trie, batch)
+        stack = [trie]
+        while stack:
+            node = stack.pop()
+            assert all(key >= 1 for key in node.keys() - {_END, _LAST_END})
+            children = [(key, child) for key, child in node.items() if key >= 1]
+            marked = [key for key, child in children if _END in child]
+            assert node.get(_LAST_END) == (max(marked) if marked else None)
+            stack.extend(child for _, child in children)
 
 
 @given(spread_monomial_lists())
