@@ -71,9 +71,10 @@ class CornerSequence:
             raise TSpreadError(f"bad corner values: {self.values}")
 
 
-def _shift(t: int, l: int) -> int:
-    """t(l-1) + 1, subtracted from max(u) for a generator u of degree l; 0 in
-    degree 0, whose only generator is the unit (S is free of rank one)."""
+def corner_shift(t: int, l: int) -> int:
+    """t(l-1) + 1, subtracted from max(u) for a generator u of degree l to
+    give its corner candidate k; 0 in degree 0, whose only generator is the
+    unit (S is free of rank one).  The oracle and the construction use it too."""
     return t * (l - 1) + 1 if l else 0
 
 
@@ -89,7 +90,7 @@ def graded_betti(ideal: SpreadIdeal) -> BettiTable:
         # sum over m = a..b of binom(m, k) is binom(b+1, k+1) - binom(a, k+1):
         # one term per run of consecutive m with equal multiplicity, not one
         # per generator
-        shift = _shift(t, l)
+        shift = corner_shift(t, l)
         ms: dict[int, int] = {}  # max(u) - shift -> generators with it
         for m in [u[-1] - shift for u in gens] if l else [0]:  # degree 0: the unit
             ms[m] = ms.get(m, 0) + 1
@@ -148,7 +149,7 @@ def corners_via_characterization(ideal: SpreadIdeal, check_stability: bool = Tru
     for l in sorted(ideal.gens, reverse=True):
         lasts = [u[-1] for u in ideal.gens[l] if u] or [0]  # the unit: max 0
         mm = max(lasts)
-        k = mm - _shift(t, l)
+        k = mm - corner_shift(t, l)
         if k > best:
             best = k
             corners.append((k, l))

@@ -5,9 +5,10 @@ monomials of one degree), ``betti`` (diagram and corners of an ideal),
 ``construct`` (the maximal-corner witness ideal), ``table`` (maximal corner
 counts over a parameter grid) and ``validate`` (brute force against closed
 forms).  This module writes every text and JSON document; the library
-returns plain data.  Exit codes: 0 success, 2 argument error, 3 domain error
-(bad monomial, unstable ideal, inapplicable parameters, an ideal file given
-with --gens, -n or -t), 4 partial results from an exhausted search budget.
+returns plain data.  Exit codes: 0 success, 1 a ``validate`` check that
+disagrees, 2 argument error, 3 domain error (bad monomial, unstable ideal,
+inapplicable parameters, an ideal file given with --gens, -n or -t), 4
+partial results from an exhausted search budget.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .monomials import (Context, format_monomial, parse_monomial, spread_count,
 from .oracle import SearchBudget, cross_validate, regenerate_table
 
 EXIT_OK = 0
+EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_PARTIAL = 4
@@ -203,7 +205,7 @@ def cmd_validate(args) -> int:
     report = cross_validate(args.n, args.t, args.l, args.budget)
     print("\n".join(json.dumps(r, sort_keys=True) for r in report.records))
     if not report.ok:
-        return 1
+        return EXIT_DISAGREE
     if report.partial:
         return EXIT_PARTIAL
     return EXIT_OK

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CornerSequence, corners_via_characterization
+from .betti import CornerSequence, corner_shift, corners_via_characterization
 from .errors import ConstructionInapplicableError, InvariantViolationError
 from .ideals import SpreadIdeal, _dominated, _trie_add, borel_ideal
-from .monomials import Context, Monomial, is_t_spread
+from .monomials import Context, Monomial, is_t_spread, max_spread_degree
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,23 @@ def s_value(n: int, t: int, ell1: int = 2) -> int:
     return 2 * t - n + j_max(n, t, ell1) * (1 + t) + 1 + (ell1 - 2) * t
 
 
+def _general_bound(dec: Decomposition, t: int, ell1: int) -> int:
+    """The paper's corner bound, k + floor((d-3)/t) in initial degree two
+    and k + floor((d-2)/t) - (l1 - 2) above it; its one home, read by
+    :func:`nu_max` and :func:`max_corners`."""
+    d, k = dec.d, dec.k
+    if ell1 == 2:
+        return k + (d - 3) // t
+    return k + (d - 2) // t - (ell1 - 2)
+
+
 def nu_max(n: int, t: int, ell1: int = 2) -> int:
     """Number of backward monomials (may be negative: none, and no critic).
 
-    Initial degree two uses floor((d-3)/t) + k - 2 - j_max; higher initial
-    degrees use floor((d-2)/t) + k - 2 - j_max - (l1 - 2).  The two branches
-    are kept verbatim; they are not unifiable.
+    The general bound of :func:`_general_bound` less the 2 + j_max other
+    witnesses: the starter, the j_max forward monomials and the critic.
     """
-    dec = decompose(n, t)
-    jm = j_max(n, t, ell1)
-    if ell1 == 2:
-        return (dec.d - 3) // t + dec.k - 2 - jm
-    return (dec.d - 2) // t + dec.k - 2 - jm - (ell1 - 2)
+    return _general_bound(decompose(n, t), t, ell1) - 2 - j_max(n, t, ell1)
 
 
 def require_closed_forms(t: int, ell1: int) -> None:
@@ -87,6 +92,16 @@ def require_closed_forms(t: int, ell1: int) -> None:
             f"the closed forms require initial degree >= 2, got initial degree {ell1}")
 
 
+def _no_ideal_reason(n: int, t: int, ell1: int) -> str | None:
+    """Why no ideal of initial degree l1 qualifies, or None when one does."""
+    if ell1 > max_spread_degree(n, t):  # n < 1 too: decompose refuses it
+        return f"no {t}-spread monomial of degree {ell1} in {n} variables"
+    bound = _general_bound(decompose(n, t), t, ell1)
+    if ell1 >= 3 and bound < 1:  # l1 > k + floor((d-2)/t) + 1 = bound + l1 - 1
+        return f"initial degree {ell1} exceeds k + floor((d-2)/t) + 1 = {bound + ell1 - 1}"
+    return None
+
+
 def max_corners(n: int, t: int, ell1: int) -> int | None:
     """Maximal number of corners of an ideal of initial degree l1, or None.
 
@@ -94,30 +109,22 @@ def max_corners(n: int, t: int, ell1: int) -> int | None:
     that no qualifying ideal exists (a dash in the tables): no t-spread
     monomial of degree l1 at all, or (for l1 >= 3) no possible corner of
     positive homological index in degree l1, i.e. l1 > k + floor((d-2)/t) + 1.
+    The one test for both is :func:`_no_ideal_reason`.
 
-    For l1 = 2 the bound is k + floor((d-3)/t) when k >= 3; the k = 1, 2
+    Otherwise the value is the general bound of :func:`_general_bound`:
+    k + floor((d-3)/t) for l1 = 2 and k + floor((d-2)/t) - (l1 - 2) for
+    l1 >= 3, the k = 2 cells of l1 >= 3 included (corroborated by the
+    brute-force oracle).  The one exception is l1 = 2 with k = 1, 2, whose
     values come from the small-k analysis (a single corner, except two when
-    k = 2 and d >= 2).  For l1 >= 3 the bound is
-    k + floor((d-2)/t) - (l1 - 2) whenever l1 lies in range; the k = 2 cells
-    are covered by the same expression (corroborated by the brute-force
-    oracle).
+    k = 2 and d >= 2).
     """
     require_closed_forms(t, ell1)
-    if n < 1:
+    if _no_ideal_reason(n, t, ell1):
         return None
     dec = decompose(n, t)
-    d, k = dec.d, dec.k
-    if ell1 == 2:
-        if k == 0:
-            return None  # n <= t: no t-spread monomial of degree 2
-        if k == 1:
-            return 1
-        if k == 2:
-            return 1 if d == 1 else 2
-        return k + (d - 3) // t
-    if ell1 > k + (d - 2) // t + 1:
-        return None
-    return k + (d - 2) // t - (ell1 - 2)
+    if ell1 == 2 and dec.k < 3:
+        return 1 if dec.k == 1 or dec.d == 1 else 2
+    return _general_bound(dec, t, ell1)
 
 
 @dataclass(frozen=True)
@@ -146,16 +153,8 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
     """
     expected = max_corners(n, t, ell1)
     if expected is None:
-        if n < (ell1 - 1) * t + 1:  # n < 1 too: decompose refuses it
-            reason = f"no {t}-spread monomial of degree {ell1} in {n} variables"
-        else:
-            dec = decompose(n, t)
-            reason = (
-                f"initial degree {ell1} exceeds k + floor((d-2)/t) + 1 = "
-                f"{dec.k + (dec.d - 2) // t + 1}"
-            )
         raise ConstructionInapplicableError(
-            f"no construction for n={n}, t={t}, ell1={ell1}: {reason}")
+            f"no construction for n={n}, t={t}, ell1={ell1}: {_no_ideal_reason(n, t, ell1)}")
     dec = decompose(n, t)
     d, k = dec.d, dec.k
 
@@ -193,9 +192,7 @@ def build_omegas(n: int, t: int, ell1: int) -> ConstructionReport:
             f"expected {expected}"
         )
 
-    corners = tuple(
-        (n - t * (ell - 1) - 1, ell) for ell in range(ell1, ell1 + expected)
-    )
+    corners = tuple((n - corner_shift(t, ell), ell) for ell in range(ell1, ell1 + expected))
     return ConstructionReport(
         ctx=ctx, ell1=ell1, decomp=dec, j_max=jm, s=s, nu_max=nm, omegas=tuple(omegas),
         predicted_corners=CornerSequence(corners, (1,) * expected), total=expected,

@@ -125,7 +125,7 @@ class SpreadIdeal:
             n, t, gens = data["n"], data["t"], [tuple(g) for g in data["gens"]]
         except KeyError as exc:
             raise IdealFormatError(f"ideal JSON lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:  # too deeply nested
             raise IdealFormatError(f"malformed ideal JSON: {exc}") from None
         if any(type(i) is not int for g in [(n, t), *gens] for i in g):
             raise IdealFormatError("ideal JSON needs integer n, t and indices")

@@ -53,16 +53,10 @@ def is_t_spread(u: Monomial, ctx: Context) -> bool:
 
     Vacuously true in degree <= 1, including the monomial 1.  Raises
     InvalidMonomialError on a malformed u (see :func:`validate_monomial`).
-    Since t >= 1, gaps >= t already make the indices strictly increasing,
-    so a u that passes the gap and range test is well formed, and the
-    validation runs only when that test fails.
     """
-    t = ctx.spread_t
-    if not u or (u[0] >= 1 and u[-1] <= ctx.n_vars
-                 and all(b - a >= t for a, b in zip(u, u[1:]))):
-        return True
     validate_monomial(u, ctx)
-    return False
+    t = ctx.spread_t
+    return all(b - a >= t for a, b in zip(u, u[1:]))
 
 
 def slex_sorted(monomials) -> list[Monomial]:
@@ -80,6 +74,12 @@ def spread_count(n: int, d: int, t: int) -> int:
         raise InvalidMonomialError(f"degree must be >= 0, got {d}")
     top = n - (d - 1) * (t - 1)
     return comb(top, d) if top >= 0 else 0
+
+
+def max_spread_degree(n: int, t: int) -> int:
+    """The top degree floor((n-1)/t) + 1 that carries t-spread monomials in n
+    variables; every degree above it has none."""
+    return (n - 1) // t + 1
 
 
 def spread_monomials(ctx: Context, d: int) -> list[Monomial]:

@@ -16,7 +16,10 @@ the principal closures B_t(u_l1, u_l1+1, ...) with at most one generator
 per degree, memoised over (degree, required shadow) states; see
 :class:`_PrincipalSearch` for why that reaches the maximum.  Both routes are
 independent of every closed formula in :mod:`tspread.construction`, which is
-the point: they are compared cell by cell in :func:`cross_validate`.
+the point: they are compared cell by cell in :func:`cross_validate`.  They
+share only definitions, each written once: the corner offset
+:func:`~tspread.betti.corner_shift` and the top degree
+:func:`~tspread.monomials.max_spread_degree`.
 """
 
 from __future__ import annotations
@@ -24,21 +27,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .betti import corners_from_table, corners_via_characterization, graded_betti
+from .betti import (corner_shift, corners_from_table, corners_via_characterization,
+                    graded_betti)
 from .construction import construct_extremal_ideal, max_corners, require_closed_forms
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
                      InvariantViolationError)
 from .ideals import SpreadIdeal, borel_closure_degree
-from .monomials import Context, Monomial, spread_count, spread_monomials
+from .monomials import (Context, Monomial, max_spread_degree, spread_count,
+                        spread_monomials)
 
 # the most variables the oracle takes: layer builds grow with the square of
 # the degree, which the mask-bit count of _check_mask_bits leaves out
 _MAX_N = 32
-
-
-# degrees beyond floor((n-1)/t) + 1 carry no t-spread monomials at all
-def max_spread_degree(n: int, t: int) -> int:
-    return (n - 1) // t + 1
 
 
 @dataclass(frozen=True)
@@ -79,20 +79,15 @@ class _Meter:
     """
 
     def __init__(self, budget: SearchBudget):
-        self.budget, self.used, self.deadline = budget, 0, None
-        self.charge(0)
+        self.budget, self.used = budget, 0
+        self.deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
 
     def charge(self, work: int = 1) -> None:
-        budget = self.budget
         self.used += work
-        if self.used > budget.max_states:
-            raise BudgetExceededError(f"state budget {budget.max_states} exhausted")
-        if budget.timeout is not None:
-            now = time.monotonic()
-            if self.deadline is None:
-                self.deadline = now + budget.timeout
-            elif now > self.deadline:
-                raise BudgetExceededError(f"timeout of {budget.timeout}s exhausted")
+        if self.used > self.budget.max_states:
+            raise BudgetExceededError(f"state budget {self.budget.max_states} exhausted")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError(f"timeout of {self.budget.timeout}s exhausted")
 
 
 @dataclass
@@ -378,7 +373,7 @@ class _PrincipalSearch:
 
     def _solve(self, li: int, required: int):
         layer = self.layers[li]
-        offset = layer.ctx.spread_t * (layer.d - 1) + 1
+        offset = corner_shift(layer.ctx.spread_t, layer.d)
         front: dict[int, int] = {}
         for mm, shadows in self.choices(li, required).items():
             k = mm - offset if mm >= 0 else -1
@@ -420,7 +415,7 @@ def brute_force_max_corners(ctx: Context, ell1: int,
     try:
         if ell1 <= max_spread_degree(ctx.n_vars, t):
             search = _PrincipalSearch(_layers(ctx, ell1, budget), budget)
-            offset = t * (ell1 - 1) + 1
+            offset = corner_shift(t, ell1)
             for mm, shadows in search.choices(0, 0).items():
                 if mm < 0:
                     continue  # no generator in degree l1

@@ -34,6 +34,7 @@ from tspread import (
     spread_monomials,
 )
 from tspread import oracle
+from tspread.monomials import max_spread_degree
 
 # Maximal corner counts for 2-spread ideals, rows = initial degree,
 # columns n = 4..20; None is a dash (no qualifying ideal).
@@ -345,7 +346,7 @@ def dp_max_corners(ctx, ell1, budget=None):
     budget = budget or SearchBudget()
     value = unconstrained = None
     ideals = 0
-    if ell1 > oracle.max_spread_degree(ctx.n_vars, ctx.spread_t):
+    if ell1 > max_spread_degree(ctx.n_vars, ctx.spread_t):
         return ideals, unconstrained, value
     search = CornerDP(oracle._layers(ctx, ell1, budget), budget)
     offset = ctx.spread_t * (ell1 - 1) + 1

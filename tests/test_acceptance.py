@@ -29,7 +29,7 @@ from tspread import (
     spread_monomials,
 )
 from tspread.cli import main as cli_main
-from tspread.oracle import max_spread_degree
+from tspread.monomials import max_spread_degree
 
 from helpers import (
     GOLDEN_BETTI_ROWS,

@@ -152,6 +152,13 @@ class TestBetti:
         code, out, err = run_cli(["betti", str(path)], capsys)
         assert code == 3 and out == "" and err.startswith("error: malformed")
 
+    def test_deeply_nested_ideal_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "ideal.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run_cli(["betti", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: malformed") and err.count("\n") == 1
+
     def test_zero_spread_exits_3(self, capsys):
         code, out, err = run_cli(["betti", "--gens", "x1*x2", "-n", "2", "-t", "0"],
                                  capsys)

@@ -23,7 +23,7 @@ from tspread import (
     spread_monomials,
 )
 from tspread.ideals import _END, _LAST_END, _trie_add, generator_move_violation
-from tspread.oracle import max_spread_degree
+from tspread.monomials import max_spread_degree
 
 
 from helpers import (bfs_borel_ideal, bfs_closure, brute_force_spread, contains,
@@ -340,6 +340,11 @@ class TestJsonInterface:
     def test_rejects_malformed_text(self, text):
         with pytest.raises(IdealFormatError):
             SpreadIdeal.from_json(text)
+
+    def test_rejects_nesting_past_the_recursion_limit(self):
+        # json.loads raises RecursionError here, not a ValueError
+        with pytest.raises(IdealFormatError, match="malformed"):
+            SpreadIdeal.from_json("[" * 200_000)
 
     @pytest.mark.parametrize("n,t,gens", [
         (20, 2, [(3, 13), (3, 15), (1, 4, 7)]),  # (1, 4, 7) sorts below (3, 21)

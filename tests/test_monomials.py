@@ -17,6 +17,8 @@ from tspread import (
     spread_count,
     spread_monomials,
 )
+from tspread.monomials import max_spread_degree
+
 from helpers import brute_force_spread, min_index, slex_greater, support
 
 
@@ -127,6 +129,14 @@ class TestEnumeration:
                         assert mons[0] == tuple(1 + i * t for i in range(d))
                     else:
                         assert not mons
+
+    def test_max_spread_degree_is_the_top_nonempty_degree(self):
+        for t in range(1, 9):
+            for n in range(1, 41):
+                top = max_spread_degree(n, t)
+                assert spread_count(n, top, t) > 0
+                assert spread_count(n, top + 1, t) == 0
+                assert spread_monomials(Context(n, t), top + 1) == []
 
     def test_degree_far_past_the_recursion_limit(self):
         # degree 1050 is deeper than the default recursion limit

@@ -26,7 +26,7 @@ from tspread import (
 from tspread import cli, ideals, oracle
 from tspread.cli import main
 from tspread.ideals import SpreadIdeal, generator_move_violation
-from tspread.oracle import max_spread_degree
+from tspread.monomials import max_spread_degree
 
 import helpers
 from helpers import (DP_FRONTIER, CornerDP, dp_max_corners, enumerate_borel_closed,

@@ -1,5 +1,7 @@
 """The package namespace, its export list and its declared dependencies."""
 
+import ast
+import sys
 import types
 from pathlib import Path
 
@@ -25,3 +27,19 @@ def test_no_runtime_dependencies():
     with pyproject.open("rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == []
+
+
+def test_imports_only_the_standard_library():
+    # every import in the package is relative, tspread itself or stdlib
+    src = Path(tspread.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "tspread" or top in sys.stdlib_module_names, (path.name, name)
