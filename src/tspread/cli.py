@@ -14,6 +14,7 @@ partial results from an exhausted search budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -247,7 +248,16 @@ def _range_parser(sub, name: str, **kwargs) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later one, so a process that calls :func:`main` many times
+    builds it once.
+
+    Sharing is safe because parsing keeps no state: ``parse_args`` returns
+    a fresh namespace, and the ``type=`` callables are pure.  Callers must
+    not change the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="tspread",
         description="t-spread strongly stable ideals: enumeration, Betti "

@@ -12,12 +12,13 @@ One membership structure, a prefix trie with one dict per index, serves
 the closure, the minimalization and the stability gate.  The closure search
 carries the trie nodes of the inputs of lower degree whose prefixes still
 dominate the one it is fixing; the minimalization walks a candidate's own
-indices down the trie of the generators kept so far.  Each trie node also
-keeps the largest key of a child where a monomial ends, so the closure
-reads a carried node's marked children with one lookup.  The gate makes one
-pass over the generators: it tests each unit decrement of a generator by
-one walk along its own path in the trie of the generators before it, then
-inserts the generator.
+indices down the trie of the generators kept so far, matching each node
+from its smaller side, its children or the candidate's remaining indices.
+Each trie node also keeps the largest key of a child where a monomial ends,
+so the closure reads a carried node's marked children with one lookup.  The
+gate makes one pass over the generators: it tests each unit decrement of a
+generator by one walk along its own path in the trie of the generators
+before it, then inserts the generator.
 """
 
 from __future__ import annotations
@@ -155,22 +156,34 @@ def _trie_add(trie: dict, monomials) -> None:
 
 
 def _divisible(trie: dict, u: Monomial) -> bool:
-    """True iff some monomial of ``trie`` divides the squarefree u.
+    """True iff some monomial of ``trie`` divides u, a strictly increasing
+    index tuple.
 
-    A divisor is a subsequence of u, so a depth-first walk that tries at
+    A divisor is a subsequence of u, so a depth-first walk that follows at
     each node only the indices of u after the last one it used reaches the
     divisor's end mark; every index of u missing from a node is skipped, not
-    a dead end.
+    a dead end.  Each node is matched from its smaller side: u's remaining
+    indices looked up among its children, or its children (one to three on
+    the construction's long shared heads) bisected into u's remaining
+    indices.  The reserved keys name no index of u, so the bisection skips
+    them.
     """
+    last = len(u)
     stack = [(trie, 0)]
     while stack:
         node, start = stack.pop()
         if _END in node:
             return True
-        for p in range(start, len(u)):
-            child = node.get(u[p])
-            if child is not None:
-                stack.append((child, p + 1))
+        if len(node) < last - start:
+            for key, child in node.items():
+                p = bisect_left(u, key, start)
+                if p < last and u[p] == key:
+                    stack.append((child, p + 1))
+        else:
+            for p in range(start, last):
+                child = node.get(u[p])
+                if child is not None:
+                    stack.append((child, p + 1))
     return False
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .betti import (corner_shift, corners_from_table, corners_via_characterization,
                     graded_betti)
-from .construction import construct_extremal_ideal, max_corners, require_closed_forms
+from .construction import (construct_extremal_ideal, max_corners, omega_claim_check,
+                           require_closed_forms)
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
                      InvariantViolationError)
 from .ideals import SpreadIdeal, borel_closure_degree
@@ -510,11 +511,12 @@ def cross_validate(
         corners read off the Betti table of the constructed ideal equal the
         construction's prediction, (n - t(l-1) - 1, l) for l = l1, l1 + 1,
         ..., one per witness, each of value 1; a construction that fails its
-        own verification makes the record fail; when neither the search nor
-        the walk of (b) stopped early, the brute-force maximum must also
-        equal the largest corner count read off the Betti tables of (b),
-        over the walked ideals whose first corner lies in degree l1 (at
-        k >= 1 when l1 >= 3).
+        own verification, or whose witnesses fail
+        :func:`~tspread.construction.omega_claim_check`, makes the record
+        fail; when neither the search nor the walk of (b) stopped early, the
+        brute-force maximum must also equal the largest corner count read
+        off the Betti tables of (b), over the walked ideals whose first
+        corner lies in degree l1 (at k >= 1 when l1 >= 3).
 
     Each check runs under its own meter of ``budget``; exhaustion marks the
     affected record, and so the report, as partial.
@@ -583,21 +585,25 @@ def cross_validate(
                 cell = brute_force_max_corners(ctx, ell1, budget)
                 formula = max_corners(n, t, ell1)
                 built = None
-                corners_ok = True
+                built_ok = True
                 detail = "disagreement"
                 try:
                     ideal, rep = construct_extremal_ideal(n, t, ell1)
                 except ConstructionInapplicableError:
                     pass
                 except InvariantViolationError as exc:
-                    corners_ok = False
+                    built_ok = False
                     detail = f"construction failed: {exc}"
                 else:
                     built = rep.total
-                    # the corners of the built ideal, read off its Betti table
-                    got = corners_from_table(graded_betti(ideal))
-                    corners_ok = got == rep.predicted_corners
-                ok = built == formula and corners_ok
+                    if not omega_claim_check(rep.omegas, ctx, ell1):
+                        built_ok = False
+                        detail = "witnesses fail omega_claim_check"
+                    else:
+                        # the corners of the built ideal, read off its Betti table
+                        got = corners_from_table(graded_betti(ideal))
+                        built_ok = got == rep.predicted_corners
+                ok = built == formula and built_ok
                 if not cell.partial:
                     ok = ok and cell.value == formula
                     if not partial:  # (b) walked every ideal the search covers

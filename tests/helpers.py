@@ -404,8 +404,16 @@ def domination_closure(u, ctx):
 def bfs_closure(u, ctx):
     """Degree-deg(u) members of B_t(u), slex-descending, by breadth-first
     search over the moves x_i * (w / x_j), i < j, that stay t-spread: the
-    closure taken literally from the definition of strong stability."""
-    t = ctx.spread_t
+    closure taken literally from the definition of strong stability.
+
+    The moves only lower indices, so the closure does not depend on n: each
+    (u, t) is searched once per test process, and every context shares it.
+    """
+    return list(_bfs_closure(u, ctx.spread_t))
+
+
+@lru_cache(maxsize=None)
+def _bfs_closure(u, t):
     seen = {u}
     frontier = [u]
     while frontier:
@@ -418,12 +426,12 @@ def bfs_closure(u, ctx):
                     if i in rest:
                         continue
                     moved = tuple(sorted(rest | {i}))
-                    if (all(b - a >= t for a, b in zip(moved, moved[1:]))
-                            and moved not in seen):
+                    if (moved not in seen
+                            and all(b - a >= t for a, b in zip(moved, moved[1:]))):
                         seen.add(moved)
                         nxt.append(moved)
         frontier = nxt
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def bfs_borel_ideal(gens, ctx):

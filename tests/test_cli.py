@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, golden text."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tspread.cli
-from tspread import construct_extremal_ideal, graded_betti, oracle
+from tspread import SearchBudget, construct_extremal_ideal, graded_betti, oracle
 from tspread.cli import main
 
 GOLDEN_DIAGRAM = "\n".join([
@@ -515,14 +516,80 @@ class TestArgumentErrors:
         capsys.readouterr()
 
 
-def test_console_entry_point():
-    # the child imports the same tspread as this process, installed or not
+def run_fresh_process(args):
+    """Run ``python -m tspread`` in a child process, which imports the same
+    tspread as this process, installed or not."""
     src = str(Path(tspread.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "tspread", "enumerate", "-n", "9", "-t", "2",
-         "-d", "4", "--count"],
+    return subprocess.run(
+        [sys.executable, "-m", "tspread", *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_entry_point():
+    result = run_fresh_process(["enumerate", "-n", "9", "-t", "2", "-d", "4",
+                                "--count"])
     assert result.returncode == 0
     assert result.stdout == "15\n"
+
+
+class TestSharedParser:
+    """Every ``main`` call of a process parses with one parser, and no call
+    leaves anything behind in it for the next."""
+
+    TABLE = ["table", "-t", "2", "--n", "9:9", "--l", "2:2", "--brute-force-upto", "9"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        tspread.cli.build_parser.cache_clear()
+        yield
+        tspread.cli.build_parser.cache_clear()
+
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for args in (["enumerate", "-n", "9", "-t", "2", "-d", "4", "--count"],
+                     self.TABLE, ["construct", "-n", "14", "-t", "3"]):
+            assert run_cli(args, capsys)[0] == 0
+        assert built.count("tspread") == 1
+        assert len(built) == 6  # the top level and its five subcommands
+
+    def test_valid_call_after_usage_error_prints_as_a_fresh_process(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.TABLE + ["--format", "csv", "--max-states", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(self.TABLE, capsys)
+        fresh = run_fresh_process(self.TABLE)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert out.startswith("| l1 \\ n | 9 |")  # markdown, not the csv asked before
+
+    def test_repeated_bad_budget_prints_the_subcommand_usage(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(self.TABLE + ["--max-states", "0"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: tspread table")
+            assert "max_states" in err
+
+    def test_budget_defaults_after_a_call_that_set_it(self, capsys, monkeypatch):
+        budgets = []
+
+        def record(t, n_range, ell1_range, budget, brute_force_upto):
+            budgets.append(budget)
+            return []
+
+        monkeypatch.setattr(tspread.cli, "regenerate_table", record)
+        for extra in (["--max-states", "7", "--budget-seconds", "5"], [],
+                      ["--max-states", "7"], []):
+            assert run_cli(self.TABLE + extra, capsys)[0] == 0
+        assert budgets == [SearchBudget(7, 5.0), SearchBudget(),
+                           SearchBudget(7), SearchBudget()]

@@ -512,6 +512,18 @@ def test_from_generators_matches_pairwise_filter(case):
         assert contains(I, u)
 
 
+@pytest.mark.parametrize("n,t,ell1", [(14, 3, 2), (46, 3, 2), (46, 3, 3), (40, 2, 2)])
+def test_from_generators_of_a_construction_matches_pairwise_filter(n, t, ell1):
+    # long shared heads: most trie nodes have fewer children than the
+    # candidate has indices left, so they are matched from their children
+    ideal, _ = construct_extremal_ideal(n, t, ell1)
+    gens = ideal.all_generators()
+    multiples = [v for d in ideal.gens for v in shadow(ideal.gens[d], ideal.ctx)[::7]]
+    mixed = multiples + gens[::-1] + gens[::5]
+    assert SpreadIdeal.from_generators(ideal.ctx, mixed).gens == ideal.gens
+    assert pairwise_minimalize(mixed) == ideal.gens
+
+
 @st.composite
 def generator_runs(draw):
     """Up to four runs, each a head of up to three indices (at most 9, so
@@ -545,3 +557,10 @@ def test_generators_json_is_the_json_module_text(case, closed):
         I = SpreadIdeal.from_generators(ctx, gens)
     assert I.generators_json() == json.dumps([list(u) for u in I.all_generators()])
     assert SpreadIdeal.from_json(I.to_json()) == I
+
+
+@given(generator_runs())
+@settings(max_examples=200, deadline=None)
+def test_from_generators_of_runs_matches_pairwise_filter(case):
+    ctx, gens, _ = case
+    assert SpreadIdeal.from_generators(ctx, gens).gens == pairwise_minimalize(gens)

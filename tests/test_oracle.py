@@ -1,5 +1,6 @@
 """Exhaustive enumeration: down-sets, ideal streams, brute-force corners."""
 
+import dataclasses
 import json
 from itertools import combinations
 from types import SimpleNamespace
@@ -576,6 +577,16 @@ class TestCornerSearch:
         with pytest.raises(BudgetExceededError):
             oracle._layers(Context(6, 1), 1, SearchBudget(max_states=26))
 
+    def test_mask_bit_rate_is_64_bits_per_unit(self):
+        # degrees 2..5 of 10 variables at t = 2 hold 36, 56, 35 and 6
+        # monomials: 36*92 + 56*91 + 35*41 + 6*6 = 9,879 bits, which lie in
+        # (64 * 154, 65 * 154], so a rate of 65 bits would build them at 154
+        # units, and 64 * 155 = 9,920 >= 9,879
+        with pytest.raises(BudgetExceededError, match="9879 bits"):
+            oracle._layers(Context(10, 2), 2, SearchBudget(max_states=154))
+        layers = oracle._layers(Context(10, 2), 2, SearchBudget(max_states=155))
+        assert [layer.size for layer in layers] == [36, 56, 35, 6]
+
     def test_budget_caps_must_be_positive(self):
         with pytest.raises(ValueError):
             SearchBudget(max_states=0)
@@ -707,6 +718,22 @@ class TestCrossValidate:
         [bad] = report.disagreements
         assert bad["check"] == "max-corners"
         assert (bad["brute"], bad["formula"], bad["built"]) == (2, 2, 2)
+
+    def test_witnesses_failing_their_claim_are_reported(self, monkeypatch):
+        # the built ideal and its corners are right; only the reported
+        # witness list, one monomial short, fails omega_claim_check
+        build = oracle.construct_extremal_ideal
+
+        def short_report(n, t, ell1):
+            ideal, rep = build(n, t, ell1)
+            return ideal, dataclasses.replace(rep, omegas=rep.omegas[:-1])
+
+        monkeypatch.setattr(oracle, "construct_extremal_ideal", short_report)
+        report = cross_validate((8, 8), (2, 2), (2, 2))
+        [bad] = report.disagreements
+        assert bad["check"] == "max-corners"
+        assert (bad["brute"], bad["formula"], bad["built"]) == (2, 2, 2)
+        assert bad["detail"] == "witnesses fail omega_claim_check"
 
     def test_failed_construction_is_a_record(self, monkeypatch):
         def failing(n, t, ell1):
