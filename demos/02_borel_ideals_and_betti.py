@@ -1,4 +1,4 @@
-"""Borel closures, shadows, and graded Betti numbers.
+"""Borel closures and graded Betti numbers.
 
 Builds the smallest 3-spread strongly stable ideal containing three chosen
 monomials in 14 variables, prints its minimal generators, and computes its
@@ -15,7 +15,6 @@ from tspread import (
     graded_betti,
     proj_dim,
     regularity,
-    shadow,
 )
 
 ctx = Context(14, 3)
@@ -23,7 +22,6 @@ ctx = Context(14, 3)
 print("degree-2 part of B_3(x1*x14): every move-reachable monomial")
 closure = borel_closure_degree((1, 14), ctx)
 print("   ", ", ".join(format_monomial(u) for u in closure))
-print("its shadow one degree up has", len(shadow(closure, ctx)), "members")
 print()
 
 ideal = borel_ideal([(1, 14), (2, 5, 14), (2, 6, 9, 14)], ctx)

@@ -1,11 +1,11 @@
 """t-spread strongly stable monomial ideals.
 
 Exact combinatorics of t-spread monomials (indices at pairwise distance at
-least t): enumeration in squarefree-lex order, Borel closures and shadows,
-graded Betti numbers of strongly stable ideals via the closed formula,
-extremal Betti numbers (corners), the explicit construction of ideals with
-the maximal number of corners, and a brute-force oracle that re-derives the
-maximal corner counts by exhaustive enumeration.
+least t): enumeration in squarefree-lex order, Borel closures, graded Betti
+numbers of strongly stable ideals via the closed formula, extremal Betti
+numbers (corners), the explicit construction of ideals with the maximal
+number of corners, and a brute-force oracle that re-derives the maximal
+corner counts by exhaustive enumeration.
 """
 
 from .betti import (
@@ -43,14 +43,12 @@ from .ideals import (
     borel_closure_degree,
     borel_ideal,
     is_strongly_stable,
-    shadow,
 )
 from .monomials import (
     Context,
     Monomial,
     format_monomial,
     is_t_spread,
-    max_index,
     parse_monomial,
     slex_sorted,
     spread_count,
@@ -103,14 +101,12 @@ __all__ = [
     "is_t_spread",
     "j_max",
     "max_corners",
-    "max_index",
     "nu_max",
     "omega_claim_check",
     "parse_monomial",
     "proj_dim",
     "regenerate_table",
     "regularity",
-    "shadow",
     "slex_sorted",
     "spread_count",
     "spread_monomials",

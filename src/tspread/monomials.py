@@ -99,11 +99,6 @@ def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
             for s in combinations(range(1, n - (d - 1) * (t - 1) + 1), d)]
 
 
-def max_index(u: Monomial) -> int:
-    """max(u); 0 for the monomial 1."""
-    return u[-1] if u else 0
-
-
 def format_monomial(u: Monomial) -> str:
     """Render as ``x2*x5*x14``; the monomial 1 renders as ``1``."""
     return "*".join(f"x{i}" for i in u) if u else "1"

@@ -8,13 +8,17 @@ walk, the max-corner dynamic program over every down-set, the max-corner
 candidates scanned over every free monomial, the Betti numbers read off
 linear quotients, and hand-transcribed golden values.  The utilities are
 small functions only the tests need: the paper's definition of the slex
-order, index helpers, membership by divisibility, the slex successor with a
-fixed last index, the iterated shadow, and the Borel-closed sets of one
-degree listed by the library's down-set search.
+order, index helpers, membership by divisibility, the ideal file written by
+``json.dumps``, the slex successor with a fixed last index, the literal and
+iterated shadows, and the Borel-closed sets of one degree listed by the
+library's down-set search.
 """
 
+import json
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 from tspread import (
     BudgetExceededError,
@@ -28,7 +32,6 @@ from tspread import (
     enumerate_strongly_stable_ideals,
     format_monomial,
     is_t_spread,
-    shadow,
     slex_sorted,
     spread_count,
     spread_monomials,
@@ -98,14 +101,18 @@ def brute_force_spread(n, d, t):
 
 
 def literal_shadow(monomials, ctx):
-    """Shad_t(T) from its definition: every product x_i * w with w in T that
-    is squarefree and t-spread, slex-descending."""
+    """Shad_t(T) from its definition: every product x_i * w with w in T and
+    i not in w that is t-spread, slex-descending.  Each w is a strictly
+    increasing index tuple, so x_i goes in where bisection puts it."""
     t = ctx.spread_t
     out = set()
     for w in monomials:
         for i in range(1, ctx.n_vars + 1):
-            grown = tuple(sorted(set(w) | {i}))
-            if len(grown) > len(w) and all(b - a >= t for a, b in zip(grown, grown[1:])):
+            p = bisect_left(w, i)
+            if p < len(w) and w[p] == i:
+                continue  # x_i * w is not squarefree
+            grown = w[:p] + (i,) + w[p:]
+            if all(b - a >= t for a, b in zip(grown, grown[1:])):
                 out.add(grown)
     return sorted(out)
 
@@ -124,7 +131,7 @@ def find_stability_violation(ideal):
     every move x_i * (u / x_j), i < j, that stays t-spread.  Returns None if
     stable, else the first witness ``(u, j, i, result)``.  Desk scale only.
     """
-    if ideal.is_zero:
+    if not ideal.gens:
         return None
     n, t = ideal.ctx.n_vars, ideal.ctx.spread_t
     gens = [frozenset(g) for g in ideal.all_generators()]
@@ -132,7 +139,7 @@ def find_stability_violation(ideal):
     def member(support):
         return any(g <= support for g in gens)
 
-    for d in range(ideal.indeg(), max(ideal.gens) + 2):
+    for d in range(min(ideal.gens), max(ideal.gens) + 2):
         for u in _spread_basis(n, d, t):
             sup = set(u)
             if not member(sup):
@@ -395,10 +402,19 @@ def contains(ideal, u):
     return any(set(g) <= support for g in ideal.all_generators())
 
 
+def ideal_json(ideal):
+    """The ideal file that ``SpreadIdeal.from_json`` reads,
+    ``{"n": n, "t": t, "gens": [[i, ...], ...]}``, written by ``json.dumps``
+    rather than by the library."""
+    return json.dumps({"n": ideal.ctx.n_vars, "t": ideal.ctx.spread_t,
+                       "gens": ideal.all_generators()})
+
+
 def domination_closure(u, ctx):
-    """Members of M_{n,deg,t} dominated componentwise by u (closure oracle)."""
-    return [v for v in spread_monomials(ctx, len(u))
-            if all(a <= b for a, b in zip(v, u))]
+    """Members of M_{n,deg,t} dominated componentwise by u (closure oracle),
+    filtered from the subset enumeration, which is listed once per (n, d, t)."""
+    return [v for v in _spread_basis(ctx.n_vars, len(u), ctx.spread_t)
+            if all(map(le, v, u))]
 
 
 def bfs_closure(u, ctx):
@@ -569,12 +585,12 @@ def slex_successor_with_max_n(u, ctx):
 
 
 def iterated_shadow(monomial_set, ctx, m):
-    """m-fold shadow; m = 1 is shadow() itself."""
+    """m-fold shadow; m = 1 is literal_shadow() itself."""
     if m < 1:
         raise ValueError(f"shadow iteration count must be >= 1, got {m}")
     current = list(monomial_set)
     for _ in range(m):
-        current = shadow(current, ctx)
+        current = literal_shadow(current, ctx)
     return current
 
 

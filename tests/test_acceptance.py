@@ -38,6 +38,7 @@ from helpers import (
     TABLE_T2,
     TABLE_T3,
     closure_equivalence_cases,
+    ideal_json,
     slex_greater,
     table_cells,
 )
@@ -88,7 +89,7 @@ def test_criterion_1_golden_betti_diagram(capsys, tmp_path):
         assert ideal == borel_ideal([(1, 14), (2, 5, 14), (2, 6, 9, 14)],
                                     Context(14, 3))
         path = tmp_path / "example14.json"
-        path.write_text(ideal.to_json())
+        path.write_text(ideal_json(ideal))
         code = cli_main(["betti", str(path)])
         out = capsys.readouterr().out
         assert code == 0

@@ -11,7 +11,6 @@ from tspread import (
     InvalidMonomialError,
     format_monomial,
     is_t_spread,
-    max_index,
     parse_monomial,
     slex_sorted,
     spread_count,
@@ -155,16 +154,13 @@ class TestEnumeration:
 
 class TestIndicesAndSupport:
     def test_max_min(self):
-        assert max_index((2, 5, 14)) == 14
         assert min_index((2, 5, 14)) == 2
 
     def test_unit(self):
-        assert max_index(()) == 0
         assert min_index(()) == 0
         assert support(()) == set()
 
     def test_singleton(self):
-        assert max_index((7,)) == 7
         assert min_index((7,)) == 7
         assert support((2, 5, 9)) == {2, 5, 9}
 
