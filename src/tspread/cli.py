@@ -21,7 +21,7 @@ import sys
 
 from .betti import corners_from_table, graded_betti, proj_dim, regularity
 from .construction import construct_extremal_ideal
-from .errors import BudgetExceededError, TSpreadError
+from .errors import TSpreadError
 from .ideals import SpreadIdeal, borel_ideal
 from .monomials import (Context, format_monomial, parse_monomial, spread_count,
                         spread_monomials)
@@ -35,16 +35,19 @@ EXIT_PARTIAL = 4
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Inclusive range ``a:b``; a bare ``a`` means ``a:a``."""
+    """Inclusive integer range ``a:b``; a bare ``a`` means ``a:a``.
+
+    Raises ArgumentTypeError, whose message argparse prints after the
+    subcommand's usage, as for :func:`_budget_field`.
+    """
     parts = text.split(":")
-    if len(parts) == 1:
-        a = b = int(parts[0])
-    elif len(parts) == 2:
-        a, b = int(parts[0]), int(parts[1])
-    else:
-        raise ValueError(f"bad range {text!r}, expected a:b")
+    try:
+        a, b = map(int, parts * 2 if len(parts) == 1 else parts)
+    except ValueError:  # a non-integer, or three or more parts
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}, expected integers a:b") from None
     if a > b:
-        raise ValueError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return a, b
 
 
@@ -65,7 +68,7 @@ def _load_ideal(args) -> SpreadIdeal:
         ctx = Context(args.n, args.t)
         gens = [parse_monomial(g) for g in args.gens.split(",") if g.strip()]
         ideal = SpreadIdeal.from_generators(ctx, gens)
-    if getattr(args, "borel", False):
+    if args.borel:
         ideal = borel_ideal(ideal.all_generators(), ideal.ctx)
     return ideal
 
@@ -321,9 +324,6 @@ def main(argv=None) -> int:
     except TSpreadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BudgetExceededError as exc:
-        print(f"partial: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -231,6 +231,7 @@ def _max_excluded(n: int, t: int, deg: int, earlier: dict) -> Monomial | None:
     """
     if deg < 1:
         return None
+    # every u in M_{n,deg,t} has u_p <= n - t(deg - 1 - p): the bound _dominated needs
     top = tuple(n - t * (deg - 1 - p) for p in range(deg - 1))
     hit = _dominated(Context(n, t), deg - 1, [top], earlier, first=True)
     return hit[0] + (n,) if hit else None

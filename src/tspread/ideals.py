@@ -201,6 +201,14 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
     as built by :func:`_trie_add`, of monomials of degree at most ``deg``);
     slex-descending, or with ``first`` only the slex-largest.
 
+    Precondition: every top u has u_q <= n - t(deg - 1 - q) at each q, the
+    bound on t-spread indices behind the count of M_{n,d,t}.  A t-spread
+    top with indices at most n meets it: :func:`borel_ideal` and
+    :func:`borel_closure_degree` check theirs, and
+    :func:`~tspread.construction._max_excluded` builds its top with gaps of
+    exactly t.  So a candidate never exceeds the bound, and the search
+    takes its upper limits from the tops alone.
+
     Escaping is exactly "not a multiple of B_t(earlier)": a w <= e dividing
     v forces v[:len(e)] <= w <= e, and conversely that prefix is t-spread,
     lies in B_t(e) and divides v.  The search fixes v one position at a
@@ -230,7 +238,7 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
     is not bounded by the interpreter's recursion limit.  A candidate that
     leaves the next position no candidate gets no frame.
     """
-    n, t = ctx.n_vars, ctx.spread_t
+    t = ctx.spread_t
     found: list[Monomial] = []
     if _END in earlier:
         return found  # the unit monomial divides everything
@@ -239,7 +247,7 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
     u = [0] * deg
     last = deg - 1
     lo = earlier.get(_LAST_END, 0) + 1
-    hi = min(max([w[0] for w in tops]), n - t * last)
+    hi = max([w[0] for w in tops])
     stack = [(0, tops, [earlier], iter(range(lo, hi + 1)))]
     while stack:
         p, live, nodes, values = stack[-1]
@@ -251,7 +259,6 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
                 return found[:1]
             continue
         q = p + 1
-        cap = n - t * (last - q)
         for v in values:
             lo, nxt = v + t, []
             for node in nodes:
@@ -264,8 +271,6 @@ def _dominated(ctx: Context, deg: int, tops, earlier: dict, first: bool = False)
             # a lone top needs no filtering (the construction has one per degree)
             above = live if len(live) == 1 else [w for w in live if v <= w[p]]
             hi = above[0][q] if len(above) == 1 else max([w[q] for w in above])
-            if hi > cap:
-                hi = cap
             if lo <= hi:  # else a dead end: push no frame for it
                 u[p] = v
                 stack.append((q, above, nxt, iter(range(lo, hi + 1))))

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, golden text."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -174,6 +175,12 @@ class TestBetti:
         code, _, err = run_cli(["betti"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("given", [[], ["-n", "5"], ["-t", "2"]])
+    def test_inline_generators_without_n_and_t_exit_3(self, capsys, given):
+        code, out, err = run_cli(["betti", "--gens", "x1*x3"] + given, capsys)
+        assert code == 3 and out == ""
+        assert "--gens requires -n and -t" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(["betti", str(tmp_path / "absent.json")], capsys)
         assert code == 2 and out == ""
@@ -321,6 +328,15 @@ class TestTable:
                                capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("budget", [["--max-states", "1"], ["--budget-seconds", "0"]])
+    def test_exhausted_budget_prints_the_partial_cell(self, capsys, budget):
+        # the search turns exhaustion into the cell's partial flag
+        code, out, err = run_cli(["table", "-t", "2", "--n", "9:9", "--l", "2:2",
+                                  "--brute-force-upto", "9", "--format", "csv"]
+                                 + budget, capsys)
+        assert (code, err) == (4, "")
+        assert out.splitlines()[1].endswith(",brute-force (partial)")
+
     def test_partial_cell_without_value_prints_question_mark(self, capsys):
         # 150 units settle n = 8, give n = 9 a lower bound and n = 10 no value
         code, out, _ = run_cli(["table", "-t", "2", "--n", "8:10", "--l", "2:2",
@@ -434,6 +450,33 @@ class TestValidate:
         assert cell["check"] == "max-corners" and not cell["ok"]
         assert (cell["brute"], cell["formula"]) == (3, 2)
 
+    def test_corner_methods_disagreement_exits_1(self, capsys, monkeypatch):
+        # check (b) compares the table's corners with the characterization's
+        monkeypatch.setattr(oracle, "corners_via_characterization",
+                            lambda ideal, check_stability: None)
+        code, out, _ = run_cli(["validate", "--n", "6:6", "--t", "2:2",
+                                "--l", "2:2"], capsys)
+        assert code == 1
+        [bad] = [r for r in map(json.loads, out.splitlines()) if not r["ok"]]
+        assert bad["check"] == "corner-methods"
+        assert bad["detail"] == "table vs characterization"
+
+    @pytest.mark.parametrize("value,want", [(3, 1), (2, 4), (1, 4)])
+    def test_partial_search_is_a_lower_bound(self, capsys, monkeypatch, value, want):
+        # a partial cell passes while its value stays at or below the
+        # formula's 2, and the run then exits 4
+        search = oracle.brute_force_max_corners
+        monkeypatch.setattr(oracle, "brute_force_max_corners",
+                            lambda *args: dataclasses.replace(
+                                search(*args), value=value, partial=True))
+        code, out, _ = run_cli(["validate", "--n", "6:6", "--t", "2:2",
+                                "--l", "2:2"], capsys)
+        assert code == want
+        cell = json.loads(out.splitlines()[-1])
+        assert cell["check"] == "max-corners" and cell["partial"]
+        assert (cell["brute"], cell["formula"]) == (value, 2)
+        assert cell["ok"] == (value <= 2)
+
     def test_partial_exits_4(self, capsys):
         # the walk stops at 3,000 of 3,369 ideals, after 87 closures
         # compared for 2,315 units
@@ -470,6 +513,12 @@ class TestValidate:
         cell = [json.loads(line) for line in out.splitlines()][-1]
         assert cell["check"] == "max-corners" and cell["partial"]
 
+    def test_one_unit_budget_leaves_every_check_partial(self, capsys):
+        code, out, err = run_cli(["validate", "--n", "9:9", "--t", "2:2",
+                                  "--l", "2:2", "--max-states", "1"], capsys)
+        assert (code, err) == (4, "")
+        assert [json.loads(line)["partial"] for line in out.splitlines()] == [True] * 3
+
     def test_initial_degree_below_two_exits_3(self, capsys):
         code, out, err = run_cli(["validate", "--n", "5:5", "--t", "2:2",
                                   "--l", "0:1"], capsys)
@@ -498,6 +547,25 @@ def test_range_starting_with_a_minus_sign_exits_3(capsys, head, option, value, r
     code, out, err = run_cli(head + given + rest, capsys)
     assert code == 3 and out == ""
     assert needle in err
+
+
+@pytest.mark.parametrize("head,option,rest", [
+    (["table", "-t", "2"], "--n", ["--l", "2:2"]),
+    (["validate", "--n", "5:5"], "--t", ["--l", "2:2"]),
+])
+@pytest.mark.parametrize("value,message", [
+    ("5:3", "empty range '5:3'"),
+    ("1:2:3", "bad range '1:2:3', expected integers a:b"),
+    ("a:b", "bad range 'a:b', expected integers a:b"),
+])
+def test_malformed_range_exits_2_with_its_message(capsys, head, option, rest, value,
+                                                   message):
+    with pytest.raises(SystemExit) as exc:
+        main(head + [option, value] + rest)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: {message}\n" in err
+    assert "_parse_range" not in err
 
 
 class TestArgumentErrors:

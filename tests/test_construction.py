@@ -5,7 +5,9 @@ import pytest
 from tspread import (
     ConstructionInapplicableError,
     Context,
+    CornerSequence,
     InvalidMonomialError,
+    InvariantViolationError,
     NotTSpreadError,
     SpreadIdeal,
     borel_ideal,
@@ -19,6 +21,7 @@ from tspread import (
     omega_claim_check,
     spread_monomials,
 )
+from tspread import construction
 from tspread.construction import s_value
 
 from helpers import (OMEGAS_46_3, TABLE_T2, TABLE_T3, bfs_borel_ideal, bfs_closure,
@@ -284,6 +287,32 @@ class TestConstructExtremalIdeal:
         want = {len(w): tuple(w[:-1] + (v,) for v in range(w[-2] + t, n + 1))
                 for w in rep.omegas}
         assert borel_ideal(rep.omegas, rep.ctx).gens == want
+
+
+class TestSelfChecks:
+    """A construction that breaks one of its own invariants raises
+    InvariantViolationError, which names the invariant."""
+
+    def test_malformed_witness(self, monkeypatch):
+        monkeypatch.setattr(construction, "is_t_spread", lambda u, ctx: False)
+        with pytest.raises(InvariantViolationError,
+                           match=r"malformed witness monomial #0 for \(n=14, t=3, ell1=2\)"):
+            build_omegas(14, 3, 2)
+
+    def test_wrong_count(self, monkeypatch):
+        count = construction.max_corners
+        monkeypatch.setattr(construction, "max_corners",
+                            lambda n, t, ell1: count(n, t, ell1) + 1)
+        with pytest.raises(InvariantViolationError,
+                           match=r"built 3 monomials for \(n=14, t=3, ell1=2\), expected 4"):
+            build_omegas(14, 3, 2)
+
+    def test_corners_off_the_prediction(self, monkeypatch):
+        monkeypatch.setattr(construction, "corners_via_characterization",
+                            lambda ideal, check_stability: CornerSequence((), ()))
+        with pytest.raises(InvariantViolationError,
+                           match=r"corner verification failed for \(n=14, t=3, ell1=2\)"):
+            construct_extremal_ideal(14, 3, 2)
 
 
 class TestOmegaClaimCheck:
