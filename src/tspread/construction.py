@@ -94,7 +94,7 @@ def require_closed_forms(t: int, ell1: int) -> None:
 
 def _no_ideal_reason(n: int, t: int, ell1: int) -> str | None:
     """Why no ideal of initial degree l1 qualifies, or None when one does."""
-    if ell1 > max_spread_degree(n, t):  # n < 1 too: decompose refuses it
+    if ell1 > max_spread_degree(n, t):  # n < 1 too: its top degree is at most 0
         return f"no {t}-spread monomial of degree {ell1} in {n} variables"
     bound = _general_bound(decompose(n, t), t, ell1)
     if ell1 >= 3 and bound < 1:  # l1 > k + floor((d-2)/t) + 1 = bound + l1 - 1

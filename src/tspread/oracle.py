@@ -325,17 +325,19 @@ class _PrincipalSearch:
     by one that the candidates reach above R.  With R = R', the candidates
     D = R and D = R ∪ ↓u for u not in R reach the whole front: the search
     ranges over the ideals B_t(u_l1, u_l1+1, ...) with at most one
-    generator u_l per degree, the shape of the witnesses of the paper.  By
-    the same lemma, of the candidates of one mm only the ⊆-minimal shadows
-    are kept: each other one has a kept one inside it and the same k.
+    generator u_l per degree, the shape of the witnesses of the paper.
 
     So :meth:`choices` need not visit every free u.  If u' lies below u in
     the move order, then ↓u' ⊆ ↓u, and the shadow of R ∪ ↓u' lies inside
-    that of R ∪ ↓u; if u' also has the last index of u, the candidate of u
-    adds no ⊆-minimal shadow.  The scan therefore visits only the
-    Borel-minimal free monomials of each last index.  Its budget is still
-    charged as if it visited them all: one unit per state plus one per
-    free monomial of the state's layer.
+    that of R ∪ ↓u; if u' also has the last index of u, both candidates
+    have the same k, and by the same lemma every pair that u reaches is
+    dominated by one that u' reaches.  The scan therefore visits only the
+    Borel-minimal free monomials of each last index, the search's one
+    pruning.  Two of them may still have nested shadows; the larger is
+    visited all the same, which the lemma makes harmless, and the memo
+    solves each state once.  The budget is still charged as if the scan
+    visited every free monomial: one unit per state plus one per free
+    monomial of the state's layer.
     """
 
     def __init__(self, layers: list[_Layer], budget: SearchBudget):
@@ -344,9 +346,9 @@ class _PrincipalSearch:
         self.memo: list[dict] = [{} for _ in layers]
 
     def choices(self, li: int, required: int) -> dict[int, list[int]]:
-        """The ⊆-minimal shadows of the candidates of layer ``li`` above
-        ``required``, per largest last index mm of their new generators
-        (-1 for the candidate without any).
+        """The shadows of the candidates of layer ``li`` above ``required``
+        that the scan visits, per largest last index mm of their new
+        generators (-1 for the candidate without any), smallest first.
 
         The scan runs lowest index first, a linear extension of the move
         order, and after each visit clears the rest of the visited
@@ -362,14 +364,7 @@ class _PrincipalSearch:
             p = low.bit_length() - 1
             shadows.setdefault(maxval[p], set()).add(base | down_shadow[p])
             free &= ~(up[p] & same[p])  # p and the rest of its class above it
-        minimal = {}
-        for mm, group in shadows.items():
-            kept: list[int] = []
-            for shadow in sorted(group, key=int.bit_count):  # subsets first
-                if all(k & ~shadow for k in kept):
-                    kept.append(shadow)
-            minimal[mm] = kept
-        return minimal
+        return {mm: sorted(group, key=int.bit_count) for mm, group in shadows.items()}
 
     def solve(self, li: int, required: int):
         if li == len(self.layers):
@@ -456,7 +451,8 @@ def regenerate_table(
     start; formula cells need the domain of
     :func:`~tspread.construction.require_closed_forms` (t >= 2 and
     l1 >= 2).  Otherwise ConstructionInapplicableError is raised before any
-    cell is computed.
+    cell is computed, and so is InvalidMonomialError for n < 1 (or t < 1),
+    whichever side computes the cells.
     """
     if brute_force_upto >= n_range[0] and ell1_range[0] < 2:
         raise ConstructionInapplicableError(
@@ -464,6 +460,7 @@ def regenerate_table(
             f"degree {ell1_range[0]}")
     if brute_force_upto < n_range[1]:
         require_closed_forms(t, ell1_range[0])
+    Context(n_range[0], t)  # a formula cell would print a dash for n < 1
 
     cells = []
     for ell1 in range(ell1_range[0], ell1_range[1] + 1):

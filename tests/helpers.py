@@ -5,13 +5,13 @@ subset filters, breadth-first closures over the moves, componentwise-
 domination closures, the basis-walk stability test, the literal scan for the
 first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
 walk, the max-corner dynamic program over every down-set, the max-corner
-candidates scanned over every free monomial, the Betti numbers read off
-linear quotients, and hand-transcribed golden values.  The utilities are
-small functions only the tests need: the paper's definition of the slex
-order, index helpers, membership by divisibility, the ideal file written by
-``json.dumps``, the slex successor with a fixed last index, the literal and
-iterated shadows, and the Borel-closed sets of one degree listed by the
-library's down-set search.
+candidates scanned over every free monomial and their ⊆-minimal shadows,
+the Betti numbers read off linear quotients, and hand-transcribed golden
+values.  The utilities are small functions only the tests need: the
+paper's definition of the slex order, index helpers, membership by
+divisibility, the ideal file written by ``json.dumps``, the slex successor
+with a fixed last index, the literal and iterated shadows, and the
+Borel-closed sets of one degree listed by the library's down-set search.
 """
 
 import json
@@ -374,25 +374,35 @@ def dp_max_corners(ctx, ell1, budget=None):
     return ideals, unconstrained, value
 
 
-def full_scan_choices(layer, required):
-    """``oracle._PrincipalSearch.choices`` by scanning every free monomial
-    (reference oracle): the shadow of the required down-set joined with
-    that of each free monomial's down-set, grouped by the monomial's last
-    index (-1 for the required down-set alone), and the ⊆-minimal shadows
-    of each group, per last index in order of first appearance."""
+def full_scan_candidates(layer, required):
+    """The candidate shadows of ``oracle._PrincipalSearch.choices`` by
+    scanning every free monomial (reference oracle): the shadow of the
+    required down-set joined with that of each free monomial's down-set,
+    grouped by the monomial's last index (-1 for the required down-set
+    alone), as sets per last index in order of first appearance."""
     base = oracle._union(layer.down_shadow, required)
     groups = {-1: {base}}
     for p in range(layer.size):
         if not required >> p & 1:
             groups.setdefault(layer.maxval[p], set()).add(base | layer.down_shadow[p])
-    minimal = {}
-    for mm, group in groups.items():
-        kept = []
-        for shadow in sorted(group, key=int.bit_count):  # subsets first
-            if all(k & ~shadow for k in kept):
-                kept.append(shadow)
-        minimal[mm] = kept
-    return minimal
+    return groups
+
+
+def minimal_shadows(group):
+    """The ⊆-minimal masks of ``group``, smallest first."""
+    kept = []
+    for shadow in sorted(group, key=int.bit_count):  # subsets first
+        if all(k & ~shadow for k in kept):
+            kept.append(shadow)
+    return kept
+
+
+def full_scan_choices(layer, required):
+    """The ⊆-minimal shadows of each group of :func:`full_scan_candidates`:
+    the candidates of one last index that no other one of them dominates
+    by the lemma of ``oracle._PrincipalSearch``."""
+    return {mm: minimal_shadows(group)
+            for mm, group in full_scan_candidates(layer, required).items()}
 
 
 def contains(ideal, u):

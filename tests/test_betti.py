@@ -221,6 +221,12 @@ class TestRegularityProjDim:
         with pytest.raises(TSpreadError):
             proj_dim(BettiTable({}))
 
+    @pytest.mark.parametrize("entries", [{(0, 2): 0}, {(-1, 2): 1}, {(1, 2): -3}])
+    def test_bad_entry_raises(self, entries):
+        # zero entries are never stored, and no entry has a negative k or value
+        with pytest.raises(TSpreadError, match="bad Betti entry"):
+            BettiTable(entries)
+
 
 class TestRendering:
     """The Betti diagram, which the command line lays out."""

@@ -291,6 +291,19 @@ class TestConstruct:
 
 
 class TestTable:
+    @pytest.mark.parametrize("n,upto,needle", [
+        ("0:5", ["--brute-force-upto", "-1"], "got 0"),
+        ("0:5", [], "got 0"),
+        ("0:5", ["--brute-force-upto", "5"], "got 0"),
+        ("-4:5", ["--brute-force-upto", "-10", "--format", "json"], "got -4"),
+    ])
+    def test_no_variables_exits_3_whichever_side_computes(self, capsys, n, upto, needle):
+        # a formula cell alone would print a dash for n < 1
+        code, out, err = run_cli(["table", "-t", "2", f"--n={n}", "--l", "2:2"] + upto,
+                                 capsys)
+        assert code == 3 and out == ""
+        assert f"n_vars must be >= 1, {needle}" in err
+
     def test_markdown_layout(self, capsys):
         code, out, _ = run_cli(["table", "-t", "3", "--n", "4:12", "--l", "2:4"],
                                capsys)

@@ -46,6 +46,10 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(10, 0)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            decompose(0, 2)
+
     def test_unique_over_range(self):
         for t in range(1, 7):
             for n in range(1, 80):
@@ -355,6 +359,13 @@ class TestOmegaClaimCheck:
                         assert _max_excluded(n, t, deg, earlier) == want, (n, t, ell1, j)
                         checked += 1
         assert checked > 40, checked
+
+    def test_no_monomial_below_degree_one(self):
+        # omega_claim_check reaches degree l1 + j < 1 only at l1 < 1
+        from tspread.construction import _max_excluded
+
+        assert _max_excluded(5, 2, 0, {}) is None
+        assert omega_claim_check((), Context(5, 2), 0) is True
 
     def test_perturbed_omegas_fail(self):
         rep = build_omegas(46, 3, 2)

@@ -342,8 +342,8 @@ class TestCornerSearch:
     @pytest.mark.parametrize("n,t,ell1", [(12, 2, 3), (13, 2, 2), (10, 1, 2), (14, 3, 2)])
     def test_choices_match_the_full_scan(self, n, t, ell1):
         # the scan visits only the Borel-minimal free monomials of each last
-        # index, yet keeps the same shadows; ties in size may come in
-        # another order, which changes no result
+        # index: each shadow it keeps is a candidate of the scan over every
+        # free monomial, and it keeps every ⊆-minimal one of those
         layers = oracle._layers(Context(n, t), ell1, SearchBudget())
         search = oracle._PrincipalSearch(layers, SearchBudget())
         search.solve(0, 0)
@@ -351,12 +351,39 @@ class TestCornerSearch:
         for li, memo in enumerate(search.memo):
             for required in memo:
                 got = search.choices(li, required)
+                candidates = helpers.full_scan_candidates(layers[li], required)
                 want = helpers.full_scan_choices(layers[li], required)
-                assert list(got) == list(want)
-                assert {mm: sorted(kept) for mm, kept in got.items()} == {
-                    mm: sorted(kept) for mm, kept in want.items()}, (li, required)
+                assert list(got) == list(candidates) == list(want)
+                for mm, shadows in got.items():
+                    assert set(shadows) <= candidates[mm], (li, required, mm)
+                    assert sorted(helpers.minimal_shadows(shadows)) == sorted(want[mm]), (
+                        li, required, mm)
                 states += 1
         assert states > 30
+
+    @pytest.mark.parametrize("n,t,ell1", [(12, 2, 3), (13, 2, 2), (10, 1, 2), (14, 3, 2)])
+    def test_minimal_shadows_alone_solve_the_same_states(self, n, t, ell1):
+        # a search that visits only the ⊆-minimal shadows of every candidate
+        # solves the same states to the same fronts, at the same charge:
+        # the shadows the scan keeps beyond those add no state
+        class FullScanSearch(oracle._PrincipalSearch):
+            def choices(self, li, required):
+                layer = self.layers[li]
+                free = ((1 << layer.size) - 1) & ~required
+                self.meter.charge(1 + free.bit_count())
+                return helpers.full_scan_choices(layer, required)
+
+        layers = oracle._layers(Context(n, t), ell1, SearchBudget())
+        library = oracle._PrincipalSearch(layers, SearchBudget())
+        reference = FullScanSearch(layers, SearchBudget())
+        for search in (library, reference):
+            for mm, shadows in search.choices(0, 0).items():
+                for shadow in shadows:
+                    search.solve(1, shadow)
+        for li, (got, want) in enumerate(zip(library.memo, reference.memo)):
+            assert got == want, li  # the same states, each to the same front
+        assert library.meter.used == reference.meter.used
+        assert sum(map(len, library.memo)) > 30
 
     @pytest.mark.parametrize("n,t,ell1,max_states,used", [
         (12, 2, 3, None, 1_396),
