@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 from .betti import (corner_shift, corners_from_table, corners_via_characterization,
                     graded_betti)
@@ -38,8 +39,12 @@ from .ideals import SpreadIdeal, borel_closure_degree
 from .monomials import (Context, Monomial, max_spread_degree, spread_count,
                         spread_monomials)
 
-# the most variables the oracle takes: layer builds grow with the square of
-# the degree, which the mask-bit count of _check_mask_bits leaves out
+# the most variables the oracle takes.  _check_mask_bits bounds the masks;
+# the rest of a layer of degree d costs O(d) words and steps per monomial,
+# except the step table of _pred_steps: d rows of n + 1 entries however few
+# monomials the layer has.  At n = 10**9, t = n - 1 the degree-2 layer
+# holds one monomial and would need two rows of 10**9 + 1; the cap keeps
+# every table within 32 rows of 33.
 _MAX_N = 32
 
 
@@ -128,7 +133,6 @@ class _Layer:
         self.ctx = ctx
         self.d = d
         self.monomials = spread_monomials(ctx, d)  # ascending tuples = slex desc
-        self.index = {u: i for i, u in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self.maxval = [u[-1] if u else 0 for u in self.monomials]
         # one mask per last index, shared by its monomials: no mask per
@@ -138,12 +142,13 @@ class _Layer:
             classes[m] = classes.get(m, 0) | 1 << q
         self.same = [classes[m] for m in self.maxval]
         t = ctx.spread_t
-        # an immediate predecessor decrements one index and sits earlier in
-        # the list; it never has the larger last index
-        self.preds = [[self.index[u[:p] + (u[p] - 1,) + u[p + 1:]]
-                       for p in range(len(u))
-                       if u[p] > 1 and (p == 0 or u[p] - 1 - u[p - 1] >= t)]
-                      for u in self.monomials]
+        # an immediate predecessor decrements one index, keeping it above 0
+        # and at least t above the index before it, and sits a fixed step
+        # earlier in the list; it never has the larger last index
+        steps, positions = _pred_steps(ctx, d), range(d)
+        self.preds = [[q - steps[p][u[p]] for p in positions
+                       if u[p] > 1 and (p == 0 or u[p] - u[p - 1] > t)]
+                      for q, u in enumerate(self.monomials)]
         # so up-sets are complete when filled in from the end
         up = [1 << q for q in range(self.size)]
         for q in reversed(range(self.size)):
@@ -181,12 +186,40 @@ class _Layer:
         return out
 
 
+def _pred_steps(ctx: Context, d: int) -> list[list[int]]:
+    """How far, ``steps[p][a]``, lowering index a at position p by one moves
+    a monomial of degree d towards the front of its layer's list.
+
+    Subtracting p(t - 1) at each position p maps M_{n,d,t} onto the
+    d-subsets of {1, ..., N}, N = n - (d - 1)(t - 1), keeping lex order, and
+    a subset's rank counts, for each position p and each c strictly between
+    its entries at p - 1 and p, the C(N - c, d - p - 1) subsets that agree
+    with it before p and hold c at p.  Lowering its entry b at p by one
+    drops the term c = b - 1 at p and, for p < d - 1, adds c = b at p + 1,
+    so the rank falls by C(N - b + 1, d - p - 1) - C(N - b, d - p - 2),
+    whatever the other entries are.  Row p is indexed by a = b + p(t - 1);
+    entries that no monomial holds at p stay 0.
+    """
+    n, t = ctx.n_vars, ctx.spread_t
+    big = n - (d - 1) * (t - 1)
+    steps = []
+    for p in range(d):
+        row = [0] * (n + 1)
+        for b in range(1, big + 1):
+            row[b + p * (t - 1)] = comb(big - b + 1, d - p - 1) - (
+                comb(big - b, d - p - 2) if p < d - 1 else 0)
+        steps.append(row)
+    return steps
+
+
 def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
     """Refuse layers of the given sizes, each above the next, whose masks
     would hold more than ``64 * budget.max_states`` bits, one unit per 64-bit
     word: a layer of a monomials above one of b holds a up-sets and a
     down-set shadows, a * (a + b) bits, so the masks grow with the square of
-    the layer sizes."""
+    the layer sizes.  Not counted: each layer's predecessor lists, at most d
+    indices per monomial of degree d, and its step table of
+    :func:`_pred_steps`, d rows of n + 1 entries, which ``_MAX_N`` bounds."""
     bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
     if bits > 64 * budget.max_states:
         raise BudgetExceededError(

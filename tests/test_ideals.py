@@ -142,7 +142,7 @@ def closure_shadow(u, ctx):
     """The shadow of the degree-deg(u) slice of B_t(u), read off the mask
     that the oracle's layer of that degree keeps for u."""
     layers = oracle._layers(ctx, len(u), SearchBudget())
-    mask = layers[0].down_shadow[layers[0].index[u]]
+    mask = layers[0].down_shadow[layers[0].monomials.index(u)]
     return layers[1].members(mask) if mask else []
 
 

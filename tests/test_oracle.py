@@ -303,13 +303,33 @@ class TestLayers:
                 ctx = Context(n, t)
                 layers = oracle._layers(ctx, 0, SearchBudget())
                 for li, layer in enumerate(layers):
-                    index = layers[li + 1].index if li + 1 < len(layers) else {}
+                    above = layers[li + 1].monomials if li + 1 < len(layers) else []
+                    index = {w: i for i, w in enumerate(above)}
                     for q, u in enumerate(layer.monomials):
                         below = ideals.borel_closure_degree(u, ctx)
                         want = sum(1 << index[w] for w in literal_shadow(below, ctx))
                         assert layer.down_shadow[q] == want, (n, t, u)
                         checked += 1
         assert checked == 3_677  # every t-spread monomial, 1 included
+
+    def test_predecessors_are_the_unit_decrements(self):
+        # the step arithmetic against the literal route: lower each index of
+        # each monomial by one and look the result up in the layer's list;
+        # one degree past the top gives each (n, t) a layer with no monomials
+        checked = empty = 0
+        for t in range(1, 5):
+            for n in range(1, 13):
+                ctx = Context(n, t)
+                for d in range(max_spread_degree(n, t) + 2):
+                    layer = oracle._Layer(ctx, d)
+                    index = {u: i for i, u in enumerate(layer.monomials)}
+                    lowered = ([u[:p] + (u[p] - 1,) + u[p + 1:] for p in range(d)]
+                               for u in layer.monomials)
+                    want = [[index[v] for v in vs if v in index] for vs in lowered]
+                    assert layer.preds == want, (n, t, d)
+                    checked += layer.size
+                    empty += not layer.size
+        assert (checked, empty) == (9_821, 48)
 
 
 class TestCornerSearch:
