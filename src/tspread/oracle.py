@@ -39,12 +39,14 @@ from .ideals import SpreadIdeal, borel_closure_degree
 from .monomials import (Context, Monomial, max_spread_degree, spread_count,
                         spread_monomials)
 
-# the most variables the oracle takes.  _check_mask_bits bounds the masks;
+# the most variables _layers takes.  _check_mask_bits bounds the masks;
 # the rest of a layer of degree d costs O(d) words and steps per monomial,
-# except the step table of _pred_steps: d rows of n + 1 entries however few
-# monomials the layer has.  At n = 10**9, t = n - 1 the degree-2 layer
-# holds one monomial and would need two rows of 10**9 + 1; the cap keeps
-# every table within 32 rows of 33.
+# except the step table of _pred_steps: d(n + 1) entries however few
+# monomials the layer has (at t = n - 1 the degree-2 layer holds one), so
+# the mask count alone does not bound it.  The cap does: d <= n <= 32.
+# Check (a) of cross_validate builds layers without this cap, but only of
+# degree d <= 4, starting from the degree-1 layer, whose n monomials
+# _check_mask_bits counts; its tables hold at most 4(n + 1) entries.
 _MAX_N = 32
 
 
@@ -219,7 +221,8 @@ def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
     down-set shadows, a * (a + b) bits, so the masks grow with the square of
     the layer sizes.  Not counted: each layer's predecessor lists, at most d
     indices per monomial of degree d, and its step table of
-    :func:`_pred_steps`, d rows of n + 1 entries, which ``_MAX_N`` bounds."""
+    :func:`_pred_steps`, d(n + 1) entries; the comment at ``_MAX_N`` says
+    what bounds the table."""
     bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
     if bits > 64 * budget.max_states:
         raise BudgetExceededError(

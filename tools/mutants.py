@@ -2,13 +2,15 @@
 
 Run from the root of a checkout:
 
-    python3 tools/mutants.py [--timeout SECONDS] [ID ...]
+    python3 tools/mutants.py
 
 Each mutant is one textual change, (file, old text, new text), to the
 library.  For each, the checkout is copied to a temporary directory, the
 mutant is applied there, and the Tier-1 command runs on the copy with
-``-x`` under the timeout.  Before the mutants, the unmutated copy runs the
-same way, as the ``baseline`` line: if it fails, every kill below is void.
+``-x`` under ``TIMEOUT`` seconds.  Before the mutants, the unmutated copy
+runs the same way, as the ``baseline`` line: if it does not pass, the
+script prints that line, runs no mutant and exits with status 1, since
+every kill would be void.
 Each run's address space is capped at ``MEMORY`` bytes, so that a mutant
 which makes a search grow without bound fails with MemoryError instead of
 filling the machine; Tier-1 itself passes under half the cap.
@@ -17,13 +19,11 @@ equivalent, the status (``killed``, ``survived`` or ``timeout``), the first
 failing test, and the seconds taken.  An equivalent mutant cannot change
 any result; it is listed so that the survey shows it survive, and a kill of
 one is a finding.  A survivor that is not marked equivalent is a gap in the
-tests.  Ids given on the command line run only those mutants.  This script
-is not part of Tier-1.
+tests.  This script is not part of Tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import resource
@@ -40,6 +40,7 @@ TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
 MEMORY = 2 << 30
+TIMEOUT = 300  # seconds per Tier-1 run
 
 
 def _cap_memory() -> None:
@@ -119,7 +120,7 @@ def first_failure(output: str) -> str | None:
     return None
 
 
-def run(mutant: Mutant | None, timeout: float) -> dict:
+def run(mutant: Mutant | None) -> dict:
     """Tier-1 with ``-x`` on a copy of the checkout, with ``mutant`` applied."""
     with tempfile.TemporaryDirectory(prefix="tspread-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
@@ -132,7 +133,7 @@ def run(mutant: Mutant | None, timeout: float) -> dict:
         start = time.monotonic()
         try:
             done = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env,
-                                  capture_output=True, text=True, timeout=timeout,
+                                  capture_output=True, text=True, timeout=TIMEOUT,
                                   preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             status, failed = "timeout", None
@@ -145,27 +146,19 @@ def run(mutant: Mutant | None, timeout: float) -> dict:
             "status": status, "first_failure": failed, "seconds": seconds}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per Tier-1 run (default 300)")
-    parser.add_argument("ids", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-
-    known = {m.id for m in MUTANTS}
-    unknown = [i for i in args.ids if i not in known]
-    if unknown:
-        print(f"mutants: unknown ids {unknown}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not args.ids or m.id in args.ids]
-    for m in chosen:  # a mutant whose text moved would silently test nothing
+def main() -> int:
+    for m in MUTANTS:  # a mutant whose text moved would silently test nothing
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             print(f"mutants: {m.id}: old text occurs {count} times in {m.path}",
                   file=sys.stderr)
             return 2
-    for mutant in [None, *chosen]:
-        print(json.dumps(run(mutant, args.timeout)), flush=True)
+    baseline = run(None)
+    print(json.dumps(baseline), flush=True)
+    if baseline["status"] != "survived":
+        return 1
+    for mutant in MUTANTS:
+        print(json.dumps(run(mutant)), flush=True)
     return 0
 
 
