@@ -79,33 +79,48 @@ def corner_shift(t: int, l: int) -> int:
 
 
 def graded_betti(ideal: SpreadIdeal) -> BettiTable:
-    """Betti table of a t-spread strongly stable ideal via the closed formula.
+    """Betti table of a t-spread strongly stable ideal via the closed formula,
+    one :func:`betti_row` per generator degree.
 
     Raises NotStronglyStableError (the formula does not apply) otherwise.
     """
     require_strongly_stable(ideal)
     t = ideal.ctx.spread_t
-    entries: dict[tuple[int, int], int] = {}
-    for l, gens in ideal.gens.items():
-        # sum over m = a..b of binom(m, k) is binom(b+1, k+1) - binom(a, k+1):
-        # one term per run of consecutive m with equal multiplicity, not one
-        # per generator
-        shift = corner_shift(t, l)
-        ms: dict[int, int] = {}  # max(u) - shift -> generators with it
-        for m in [u[-1] - shift for u in gens] if l else [0]:  # degree 0: the unit
-            ms[m] = ms.get(m, 0) + 1
-        runs: list[list[int]] = []  # [a, b, multiplicity]
-        for m in sorted(ms):
-            mult = ms[m]
-            if runs and runs[-1][1] == m - 1 and runs[-1][2] == mult:
-                runs[-1][1] = m
-            else:
-                runs.append([m, m, mult])
-        for a, b, mult in runs:
-            for k in range(b + 1):
-                beta = mult * (comb(b + 1, k + 1) - comb(a, k + 1))
-                entries[(k, l)] = entries.get((k, l), 0) + beta
-    return BettiTable(entries)
+    return merge_rows([(l, betti_row(t, l, gens)) for l, gens in ideal.gens.items()])
+
+
+def betti_row(t: int, l: int, gens) -> list[int]:
+    """The row of degree l of the closed formula, [beta_{0,l}, beta_{1,1+l},
+    ...], from ``gens``, the degree-l minimal generators alone.
+
+    Every entry up to the largest max(u) - t(l-1) - 1 is positive, so the
+    row is dense and ends at its last nonzero entry.
+    """
+    # sum over m = a..b of binom(m, k) is binom(b+1, k+1) - binom(a, k+1):
+    # one term per run of consecutive m with equal multiplicity, not one
+    # per generator
+    shift = corner_shift(t, l)
+    ms: dict[int, int] = {}  # max(u) - shift -> generators with it
+    for m in [u[-1] - shift for u in gens] if l else [0]:  # degree 0: the unit
+        ms[m] = ms.get(m, 0) + 1
+    runs: list[list[int]] = []  # [a, b, multiplicity]
+    for m in sorted(ms):
+        mult = ms[m]
+        if runs and runs[-1][1] == m - 1 and runs[-1][2] == mult:
+            runs[-1][1] = m
+        else:
+            runs.append([m, m, mult])
+    row = [0] * (max(ms) + 1)
+    for a, b, mult in runs:
+        for k in range(b + 1):
+            row[k] += mult * (comb(b + 1, k + 1) - comb(a, k + 1))
+    return row
+
+
+def merge_rows(rows) -> BettiTable:
+    """The table whose row of degree l is ``row``, for each ``(l, row)``
+    pair of distinct degrees, rows as :func:`betti_row` gives them."""
+    return BettiTable({(k, l): beta for l, row in rows for k, beta in enumerate(row)})
 
 
 def corners_from_table(table: BettiTable) -> CornerSequence:
@@ -130,30 +145,47 @@ def corners_from_table(table: BettiTable) -> CornerSequence:
 
 
 def corners_via_characterization(ideal: SpreadIdeal, check_stability: bool = True) -> CornerSequence:
-    """Corners computed from generator data alone, without the Betti table.
+    """Corners computed from generator data alone, without the Betti table:
+    :func:`corners_from_peaks` over the :func:`corner_peak` of each degree.
 
-    For each generator degree l the only candidate is
-    k = max{max(u) : u in G(I)_l} - t(l-1) - 1, and it is a corner iff it
-    exceeds the candidates of every higher generator degree; the corner
-    value is the number of degree-l generators attaining the maximal last
-    index.  Input must be strongly stable;
-    callers holding an ideal that is stable by construction (a Borel closure)
-    may pass ``check_stability=False`` to skip the redundant verification.
+    Input must be strongly stable; callers holding an ideal that is stable
+    by construction (a Borel closure) may pass ``check_stability=False`` to
+    skip the redundant verification.
     """
     if check_stability:
         require_strongly_stable(ideal)
-    t = ideal.ctx.spread_t
+    gens = ideal.gens
+    return corners_from_peaks(ideal.ctx.spread_t,
+                              [(l, corner_peak(gens[l])) for l in sorted(gens)])
+
+
+def corner_peak(gens) -> tuple[int, int]:
+    """``(mm, count)`` of one degree's generators: their largest last index
+    (0 for the unit) and how many of them attain it."""
+    lasts = [u[-1] for u in gens if u] or [0]  # the unit: max 0
+    mm = max(lasts)
+    return mm, lasts.count(mm)
+
+
+def corners_from_peaks(t: int, peaks) -> CornerSequence:
+    """The corners of the ideal whose degree-l generators have the
+    :func:`corner_peak` ``(mm, count)``, for each ``(l, (mm, count))`` pair
+    of ``peaks``, ascending in l.
+
+    The only candidate of degree l is k = mm - t(l-1) - 1, and it is a
+    corner iff it exceeds the candidates of every higher generator degree;
+    the corner value is ``count``, the number of degree-l generators
+    attaining mm.
+    """
     corners = []
     values = []
     best = -1  # the largest candidate of the degrees above
-    for l in sorted(ideal.gens, reverse=True):
-        lasts = [u[-1] for u in ideal.gens[l] if u] or [0]  # the unit: max 0
-        mm = max(lasts)
+    for l, (mm, count) in reversed(peaks):
         k = mm - corner_shift(t, l)
         if k > best:
             best = k
             corners.append((k, l))
-            values.append(lasts.count(mm))
+            values.append(count)
     corners.reverse()
     values.reverse()
     return CornerSequence(tuple(corners), tuple(values))

@@ -338,23 +338,54 @@ def generator_move_violation(ideal: SpreadIdeal):
        its degree.
 
     So one pass decides: each generator u is tested against the prefix trie
-    of the generators before it, then inserted.  Each decrement of u at
-    position p is one walk along its own path from u's node at depth p,
-    since a minimal generator has no generator as a proper prefix.
+    of the generators before it, then inserted, one degree at a time by
+    :func:`gate_degree`.
     """
     t = ideal.ctx.spread_t
     trie: dict = {}
-    for u in ideal.all_generators():
+    for d in sorted(ideal.gens):
+        witness = gate_degree(trie, ideal.gens[d], t)
+        if witness is not None:
+            return witness
+    return None
+
+
+def gate_degree(trie: dict, gens, t: int, created: list | None = None):
+    """One degree of :func:`generator_move_violation`: test each generator u
+    of ``gens``, one degree's generators in slex-descending order, against
+    ``trie``, the prefix trie of every generator before it, then insert it.
+
+    Returns the first witness ``(u, j, i, result)``, or None.  Each
+    decrement of u at position p is one walk along its own path from u's
+    node at depth p, since a minimal generator has no generator as a proper
+    prefix.  With ``created`` given, the first key this call sets for each
+    generator is appended to it as ``(node, key)``: the child where the
+    generator's path leaves the trie, or else its end mark.  Deleting them
+    in reverse order restores the trie, also after a witness.
+    """
+    for u in gens:
         node = trie  # u's node at depth p, made as u is walked
+        new = created is not None  # u's first key is still to be recorded
+        last = len(u)
+        prev = 1 - t  # u[p - 1]; at p = 0, what keeps a - 1 >= 1
         for p, a in enumerate(u):
-            if a > 1 and (p == 0 or a - 1 - u[p - 1] >= t):
+            if a - prev > t:  # x_{a-1} * (u / x_a) is t-spread
                 walk, q = node.get(a - 1), p + 1
-                while walk and _END not in walk and q < len(u):
+                while walk and _END not in walk and q < last:
                     walk, q = walk.get(u[q]), q + 1
                 if not walk or _END not in walk:
                     return u, a, a - 1, u[:p] + (a - 1,) + u[p + 1:]
-            node = node.setdefault(a, {})
+            prev = a
+            child = node.get(a)
+            if child is None:
+                child = node[a] = {}
+                if new:
+                    created.append((node, a))
+                    new = False
+            node = child
         node[_END] = True
+        if new:
+            created.append((node, _END))
     return None
 
 
@@ -368,9 +399,14 @@ def require_strongly_stable(ideal: SpreadIdeal) -> None:
     """Raise NotStronglyStableError (with a witness move) unless stable."""
     witness = generator_move_violation(ideal)
     if witness is not None:
-        u, j, i, moved = witness
-        raise NotStronglyStableError(
-            f"not strongly stable: x{i}*({format_monomial(u)}/x{j}) = "
-            f"{format_monomial(moved)} lies outside the ideal",
-            witness=witness,
-        )
+        raise stability_error(witness)
+
+
+def stability_error(witness) -> NotStronglyStableError:
+    """The error for a witness ``(u, j, i, result)`` of the gate."""
+    u, j, i, moved = witness
+    return NotStronglyStableError(
+        f"not strongly stable: x{i}*({format_monomial(u)}/x{j}) = "
+        f"{format_monomial(moved)} lies outside the ideal",
+        witness=witness,
+    )

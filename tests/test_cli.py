@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tspread.cli
-from tspread import SearchBudget, construct_extremal_ideal, graded_betti, oracle
+from tspread import SearchBudget, SpreadIdeal, construct_extremal_ideal, graded_betti, oracle
 from tspread.cli import main
 
 GOLDEN_DIAGRAM = "\n".join([
@@ -464,15 +464,31 @@ class TestValidate:
         assert (cell["brute"], cell["formula"]) == (3, 2)
 
     def test_corner_methods_disagreement_exits_1(self, capsys, monkeypatch):
-        # check (b) compares the table's corners with the characterization's
-        monkeypatch.setattr(oracle, "corners_via_characterization",
-                            lambda ideal, check_stability: None)
+        # check (b) compares the table's corners with the characterization's,
+        # folded from each link's peak
+        monkeypatch.setattr(oracle, "corners_from_peaks", lambda t, peaks: None)
         code, out, _ = run_cli(["validate", "--n", "6:6", "--t", "2:2",
                                 "--l", "2:2"], capsys)
         assert code == 1
         [bad] = [r for r in map(json.loads, out.splitlines()) if not r["ok"]]
         assert bad["check"] == "corner-methods"
         assert bad["detail"] == "table vs characterization"
+
+    def test_unstable_ideal_after_a_stable_one_exits_3(self, capsys, monkeypatch):
+        # the second ideal shares the first's degree-2 link and drops
+        # x1*x4*x6 from its degree-3 link: a kept degree-3 link would still
+        # hold it and pass x2*x4*x6
+        def stream(ctx, ell1, budget=None):
+            low = ((1, 3),)
+            yield SpreadIdeal(ctx, {2: low, 3: ((1, 4, 6), (2, 4, 6))})
+            yield SpreadIdeal(ctx, {2: low, 3: ((2, 4, 6),)})
+
+        monkeypatch.setattr(oracle, "enumerate_strongly_stable_ideals", stream)
+        code, out, err = run_cli(["validate", "--n", "6:6", "--t", "2:2",
+                                  "--l", "2:2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: not strongly stable: x1*(x2*x4*x6/x2) = x1*x4*x6 "
+                       "lies outside the ideal\n")
 
     @pytest.mark.parametrize("value,want", [(3, 1), (2, 4), (1, 4)])
     def test_partial_search_is_a_lower_bound(self, capsys, monkeypatch, value, want):

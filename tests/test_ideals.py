@@ -23,7 +23,8 @@ from tspread import (
     spread_monomials,
 )
 from tspread import oracle
-from tspread.ideals import _END, _LAST_END, _trie_add, generator_move_violation
+from tspread.ideals import (_END, _LAST_END, _trie_add, gate_degree,
+                            generator_move_violation)
 from tspread.monomials import max_spread_degree
 
 
@@ -487,6 +488,54 @@ def test_gate_witness_is_first_outside_decrement(case):
     ctx, gens = case
     I = SpreadIdeal.from_generators(ctx, gens)
     assert generator_move_violation(I) == first_outside_decrement(I)
+
+
+def gate_links(trie, links, t, undo):
+    """Gate ``(degree, generators)`` links in order on ``trie``, appending
+    the keys each sets to ``undo``, one list per link; the first witness."""
+    for _, gens in links:
+        undo.append([])
+        witness = gate_degree(trie, gens, t, undo[-1])
+        if witness is not None:
+            return witness
+    return None
+
+
+def undo_links(undo, start):
+    """Delete the keys of the links from ``start`` on, last set first."""
+    for created in reversed(undo[start:]):
+        for node, key in reversed(created):
+            del node[key]
+    del undo[start:]
+
+
+@given(redundant_generator_lists(), redundant_generator_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gate_step_by_degree_and_with_undo(case, other, data):
+    # the step finds the literal scan's witness on a fresh trie, and on a
+    # trie that held another ideal, or held the later links, before undoing
+    ctx, gens = case
+    I = SpreadIdeal.from_generators(ctx, gens)
+    t, links, want = ctx.spread_t, sorted(I.gens.items()), first_outside_decrement(I)
+    fresh: dict = {}
+    for _, link in links:  # degree by degree, nothing recorded
+        witness = gate_degree(fresh, link, t)
+        if witness is not None:
+            break
+    assert witness == want
+    other_ctx, other_gens = other
+    J = SpreadIdeal.from_generators(other_ctx, other_gens)
+    trie: dict = {}
+    undo: list = []
+    gate_links(trie, sorted(J.gens.items()), other_ctx.spread_t, undo)
+    undo_links(undo, 0)
+    assert trie == {}
+    assert gate_links(trie, links, t, undo) == want
+    cut = data.draw(st.integers(0, len(undo) - 1))
+    undo_links(undo, cut)
+    assert gate_links(trie, links[cut:], t, undo) == want
+    undo_links(undo, 0)
+    assert trie == {}
 
 
 @given(redundant_generator_lists())

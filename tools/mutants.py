@@ -92,10 +92,20 @@ MUTANTS = [
            equivalent=True, note="a tie rewrites the same value"),
     Mutant("mask-bit-rate", ORACLE,
            "if bits > 64 * budget.max_states:", "if bits > 65 * budget.max_states:"),
+    # check (b)'s per-link slots
+    Mutant("link-undo-skips-one", ORACLE,
+           "for slot in reversed(slots[same:]):", "for slot in reversed(slots[same + 1:]):"),
+    Mutant("link-scan-starts-past-first", ORACLE,
+           "same, common = 0, min(", "same, common = 1, min("),
+    Mutant("link-scan-stops-short", ORACLE,
+           "while same < common and", "while same < common - 1 and",
+           equivalent=True,
+           note="a link that is still the same is undone and read again alike"),
     # the stability gate and the generator tries
     Mutant("gate-gap", IDEALS,
-           "if a > 1 and (p == 0 or a - 1 - u[p - 1] >= t):",
-           "if a > 1 and (p == 0 or a - 1 - u[p - 1] > t):"),
+           "if a - prev > t:", "if a - prev > t + 1:"),
+    Mutant("gate-first-index", IDEALS,
+           "prev = 1 - t", "prev = 2 - t"),
     Mutant("divisible-skips-an-index", IDEALS,
            "if child is not None:\n                    stack.append((child, p + 1))",
            "if child is not None:\n                    stack.append((child, p + 2))"),
@@ -106,6 +116,14 @@ MUTANTS = [
     # the closed forms
     Mutant("betti-corner-ge", BETTI,
            "        if k > best:", "        if k >= best:"),
+    Mutant("table-corner-ge", BETTI,
+           "if row_max[l] > best:", "if row_max[l] >= best:"),
+    Mutant("run-merge-across-gap", BETTI,
+           "runs[-1][1] == m - 1", "runs[-1][1] == m - 2"),
+    Mutant("run-merge-never", BETTI,
+           "runs[-1][1] == m - 1", "runs[-1][1] == m",
+           equivalent=True,
+           note="the keys are distinct, so no run grows, and one-key runs sum alike"),
     Mutant("corner-shift-off-by-one", BETTI,
            "return t * (l - 1) + 1 if l else 0", "return t * (l - 1) + 2 if l else 0"),
 ]
