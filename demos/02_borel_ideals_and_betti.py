@@ -35,7 +35,7 @@ print()
 table = graded_betti(ideal)
 print("Betti table, one row per generator degree l, listing beta_{k,k+l}")
 print("from k = 0 (`tspread betti` prints it as a diagram):")
-for degree, row in table.rows().items():
+for degree, row in table.rows.items():
     print(f"    {degree}:", row)
 print()
 print("regularity:", regularity(table), " projective dimension:", proj_dim(table))

@@ -27,28 +27,28 @@ from .ideals import SpreadIdeal, require_strongly_stable
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Sparse table (k, l) -> beta_{k,k+l}; zero entries are never stored."""
+    """Rows l -> [beta_{0,l}, beta_{1,1+l}, ...] ascending in l, as
+    :func:`betti_row` gives them.  A row ends at its last nonzero entry, so
+    its last column is ``len(row) - 1``; zeros inside it are holes."""
 
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    rows: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for (k, l), beta in self.entries.items():
-            if beta <= 0 or k < 0:
-                raise TSpreadError(f"bad Betti entry beta_{{{k},{k}+{l}}} = {beta}")
+        if list(self.rows) != sorted(self.rows):
+            raise TSpreadError(f"Betti rows not in ascending degree: {list(self.rows)}")
+        for l, row in self.rows.items():
+            if not row or min(row) < 0 or row[-1] <= 0:  # empty, negative, trailing zero
+                raise TSpreadError(f"bad Betti row of degree {l}")
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.rows
 
-    def rows(self) -> dict[int, list[int]]:
-        """Dense rows: l -> [beta_{0,l}, beta_{1,1+l}, ...] up to the last nonzero."""
-        out: dict[int, list[int]] = {}
-        for (k, l), beta in self.entries.items():
-            row = out.setdefault(l, [])
-            if len(row) <= k:
-                row.extend([0] * (k + 1 - len(row)))
-            row[k] = beta
-        return {l: out[l] for l in sorted(out)}
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The sparse view (k, l) -> beta_{k,k+l} of the nonzero entries."""
+        return {(k, l): beta for l, row in self.rows.items()
+                for k, beta in enumerate(row) if beta}
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def graded_betti(ideal: SpreadIdeal) -> BettiTable:
     Raises NotStronglyStableError (the formula does not apply) otherwise.
     """
     require_strongly_stable(ideal)
-    t = ideal.ctx.spread_t
-    return merge_rows([(l, betti_row(t, l, gens)) for l, gens in ideal.gens.items()])
+    t, gens = ideal.ctx.spread_t, ideal.gens
+    return BettiTable({l: betti_row(t, l, gens[l]) for l in sorted(gens)})
 
 
 def betti_row(t: int, l: int, gens) -> list[int]:
@@ -117,46 +117,32 @@ def betti_row(t: int, l: int, gens) -> list[int]:
     return row
 
 
-def merge_rows(rows) -> BettiTable:
-    """The table whose row of degree l is ``row``, for each ``(l, row)``
-    pair of distinct degrees, rows as :func:`betti_row` gives them."""
-    return BettiTable({(k, l): beta for l, row in rows for k, beta in enumerate(row)})
-
-
 def corners_from_table(table: BettiTable) -> CornerSequence:
     """Corners straight from the definition of extremal Betti numbers.
 
     An entry (k, l) is a corner iff it is nonzero and no other nonzero entry
-    dominates it componentwise.  Works for any sparse table.
+    dominates it componentwise: row l's candidate is its last column,
+    ``len(row) - 1``, and it is a corner iff it exceeds the last column of
+    every row above.  Works for any table, holes included.
     """
-    row_max: dict[int, int] = {}
-    for k, l in table.entries:
-        if k > row_max.get(l, -1):
-            row_max[l] = k
-    corners = []
-    best = -1
-    for l in sorted(row_max, reverse=True):
-        if row_max[l] > best:
-            best = row_max[l]
-            corners.append((best, l))
-    corners.reverse()
-    values = tuple(table.entries[(k, l)] for k, l in corners)
-    return CornerSequence(tuple(corners), values)
+    corners, values = [], []  # l descending
+    for l, row in reversed(table.rows.items()):
+        if not corners or len(row) - 1 > corners[-1][0]:
+            corners.append((len(row) - 1, l))
+            values.append(row[-1])
+    return CornerSequence(tuple(reversed(corners)), tuple(reversed(values)))
 
 
-def corners_via_characterization(ideal: SpreadIdeal, check_stability: bool = True) -> CornerSequence:
+def corners_via_characterization(ideal: SpreadIdeal) -> CornerSequence:
     """Corners computed from generator data alone, without the Betti table:
     :func:`corners_from_peaks` over the :func:`corner_peak` of each degree.
 
-    Input must be strongly stable; callers holding an ideal that is stable
-    by construction (a Borel closure) may pass ``check_stability=False`` to
-    skip the redundant verification.
+    Raises NotStronglyStableError (the characterization does not apply)
+    unless the ideal is strongly stable.
     """
-    if check_stability:
-        require_strongly_stable(ideal)
-    gens = ideal.gens
+    require_strongly_stable(ideal)
     return corners_from_peaks(ideal.ctx.spread_t,
-                              [(l, corner_peak(gens[l])) for l in sorted(gens)])
+                              [(l, corner_peak(g)) for l, g in sorted(ideal.gens.items())])
 
 
 def corner_peak(gens) -> tuple[int, int]:
@@ -177,30 +163,25 @@ def corners_from_peaks(t: int, peaks) -> CornerSequence:
     the corner value is ``count``, the number of degree-l generators
     attaining mm.
     """
-    corners = []
-    values = []
-    best = -1  # the largest candidate of the degrees above
+    corners, values = [], []  # l descending
     for l, (mm, count) in reversed(peaks):
         k = mm - corner_shift(t, l)
-        if k > best:
-            best = k
+        if not corners or k > corners[-1][0]:
             corners.append((k, l))
             values.append(count)
-    corners.reverse()
-    values.reverse()
-    return CornerSequence(tuple(corners), tuple(values))
+    return CornerSequence(tuple(reversed(corners)), tuple(reversed(values)))
 
 
 def regularity(table: BettiTable) -> int:
     """Castelnuovo-Mumford regularity of the ideal: the largest nonzero row."""
     if table.is_empty:
         raise TSpreadError("regularity of an empty Betti table")
-    return max(l for _, l in table.entries)
+    return max(table.rows)
 
 
 def proj_dim(table: BettiTable) -> int:
     """Projective dimension of the ideal: the largest nonzero column."""
     if table.is_empty:
         raise TSpreadError("projective dimension of an empty Betti table")
-    return max(k for k, _ in table.entries)
+    return max(len(row) for row in table.rows.values()) - 1
 

@@ -14,6 +14,7 @@ partial results from an exhausted search budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -32,6 +33,22 @@ EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_PARTIAL = 4
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's cap on int-to-str digits (4,300 by default) while a
+    command writes exact results; input stays capped, so argparse and
+    ``json.loads`` of an ideal file still refuse oversized integers."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7: no cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -76,7 +93,8 @@ def _load_ideal(args) -> SpreadIdeal:
 def cmd_enumerate(args) -> int:
     ctx = Context(args.n, args.t)
     if args.count:
-        print(spread_count(ctx.n_vars, args.d, ctx.spread_t))
+        with _exact_digits():
+            print(spread_count(ctx.n_vars, args.d, ctx.spread_t))
     elif args.format == "json":
         print(json.dumps(spread_monomials(ctx, args.d)))
     else:
@@ -97,12 +115,11 @@ def _corner_lines(corners) -> list[str]:
 def _diagram_lines(table) -> list[str]:
     """The Betti diagram of a nonempty table: a header row of k, then one
     row per degree l, with ``-`` for each zero inside the rectangle."""
-    rows = table.rows()
     width = proj_dim(table) + 1
     cells = [[str(k) for k in range(width)]]
     cells += [[str(b) if b else "-" for b in row + [0] * (width - len(row))]
-              for row in rows.values()]
-    labels = [""] + [f"{l}:" for l in rows]
+              for row in table.rows.values()]
+    labels = [""] + [f"{l}:" for l in table.rows]
     col_w = [max(len(r[k]) for r in cells) for k in range(width)]
     lab_w = max(len(s) for s in labels)
     return [(label.ljust(lab_w) + "  " + "  ".join(
@@ -140,22 +157,23 @@ def cmd_betti(args) -> int:
     ideal = _load_ideal(args)
     table = graded_betti(ideal)
     corners = corners_from_table(table)
-    if args.format == "json":
-        payload = {
-            "betti": {"rows": {str(l): row for l, row in table.rows().items()}},
-            "corners": {"corners": corners.corners, "values": corners.values},
-        }
-        if not table.is_empty:
-            payload["regularity"] = regularity(table)
-            payload["proj_dim"] = proj_dim(table)
-        print(json.dumps(payload))
-        return EXIT_OK
-    lines = _corner_lines(corners)
-    if not table.is_empty:
-        lines = _diagram_lines(table) + [""] + lines + [
-            f"regularity: {regularity(table)}",
-            f"projective dimension: {proj_dim(table)}"]
-    print("\n".join(lines))
+    with _exact_digits():
+        if args.format == "json":
+            payload = {
+                "betti": {"rows": {str(l): row for l, row in table.rows.items()}},
+                "corners": {"corners": corners.corners, "values": corners.values},
+            }
+            if not table.is_empty:
+                payload["regularity"] = regularity(table)
+                payload["proj_dim"] = proj_dim(table)
+            print(json.dumps(payload))
+        else:
+            lines = _corner_lines(corners)
+            if not table.is_empty:
+                lines = _diagram_lines(table) + [""] + lines + [
+                    f"regularity: {regularity(table)}",
+                    f"projective dimension: {proj_dim(table)}"]
+            print("\n".join(lines))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CornerSequence, corner_shift, corners_via_characterization
+from .betti import CornerSequence, corner_peak, corner_shift, corners_from_peaks
 from .errors import ConstructionInapplicableError, InvariantViolationError
 from .ideals import SpreadIdeal, _dominated, _trie_add, borel_ideal
 from .monomials import Context, Monomial, is_t_spread, max_spread_degree
@@ -208,11 +208,11 @@ def construct_extremal_ideal(n: int, t: int, ell1: int) -> tuple[SpreadIdeal, Co
     compared against the prediction; a mismatch raises
     InvariantViolationError (it indicates a bug, not bad input).  Stability
     of the result is by construction (it is a Borel closure), so the
-    recomputation skips the redundant stability check.
+    recomputation folds the corner peaks without a stability gate.
     """
     report = build_omegas(n, t, ell1)
     ideal = borel_ideal(report.omegas, report.ctx)
-    got = corners_via_characterization(ideal, check_stability=False)
+    got = corners_from_peaks(t, [(l, corner_peak(g)) for l, g in sorted(ideal.gens.items())])
     if got != report.predicted_corners:
         raise InvariantViolationError(
             f"corner verification failed for (n={n}, t={t}, ell1={ell1}): "

@@ -29,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 from math import comb
 
-from .betti import (betti_row, corner_peak, corner_shift, corners_from_peaks,
-                    corners_from_table, graded_betti, merge_rows)
+from .betti import (BettiTable, betti_row, corner_peak, corner_shift, corners_from_peaks,
+                    corners_from_table, graded_betti)
 from .construction import (construct_extremal_ideal, max_corners, omega_claim_check,
                            require_closed_forms)
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
@@ -583,9 +583,9 @@ def cross_validate(
         table agree with the generator characterization.  The stability
         gate, the Betti row and the corner peak of each chain link are
         computed once, when the link joins the chain (:func:`_link_data`);
-        per ideal, its rows are merged into a Betti table for
-        :func:`~tspread.betti.corners_from_table` and its peaks folded by
-        :func:`~tspread.betti.corners_from_peaks`;
+        per ideal, its rows make up the Betti table that
+        :func:`~tspread.betti.corners_from_table` reads, and its peaks are
+        folded by :func:`~tspread.betti.corners_from_peaks`;
     (c) per cell: brute-force maximum == closed-form maximum == number of
         constructed witness monomials (wherever each is defined), and the
         corners read off the Betti table of the constructed ideal equal the
@@ -601,9 +601,8 @@ def cross_validate(
     Every Betti table here comes from the closed formula.  Reading them off
     linear quotients, as ``tests/helpers.py`` does on six cells, would not
     depend on it but takes a pass over every generator of every ideal:
-    0.15 s on the 3,369 ideals of (9, 2, 2), against 0.055 s for the gate
-    and rows of (b) and their merging (best of five, 2-vCPU VM,
-    Python 3.11.7).
+    0.18 s on the 3,369 ideals of (9, 2, 2), against 0.055 s for the gate,
+    rows and tables of (b) (best of five, 2-vCPU VM, Python 3.11.7).
 
     Each check runs under its own meter of ``budget``; exhaustion marks the
     affected record, and so the report, as partial.
@@ -652,7 +651,7 @@ def cross_validate(
                     for _, slots in _link_data(stream, t):
                         cases += 1
                         via_table = corners_from_table(
-                            merge_rows([(l, row) for l, _, row, _, _ in slots]))
+                            BettiTable({l: row for l, _, row, _, _ in slots}))
                         via_gens = corners_from_peaks(
                             t, [(l, peak) for l, _, _, peak, _ in slots])
                         if via_table != via_gens:

@@ -97,7 +97,7 @@ def test_criterion_1_golden_betti_diagram(capsys, tmp_path):
         assert "corners: (10, 2), (7, 3), (4, 4)" in out
         assert "values: 1, 1, 1" in out
         table = graded_betti(ideal)
-        assert table.rows() == GOLDEN_BETTI_ROWS
+        assert table.rows == GOLDEN_BETTI_ROWS
         seq = corners_from_table(table)
         assert seq.corners == GOLDEN_CORNERS and seq.values == (1, 1, 1)
 
@@ -191,8 +191,7 @@ def test_criterion_7_property_suite():
                 for ell1 in range(2, max_spread_degree(n, t) + 1):
                     for ideal in enumerate_strongly_stable_ideals(ctx, ell1):
                         got_t = corners_from_table(graded_betti(ideal))
-                        got_c = corners_via_characterization(
-                            ideal, check_stability=False)
+                        got_c = corners_via_characterization(ideal)
                         assert got_t == got_c, ideal
                         checked += 1
         assert checked >= 1000

@@ -36,7 +36,7 @@ def golden_ideal():
 
 class TestGradedBetti:
     def test_golden_rows(self, golden_ideal):
-        assert graded_betti(golden_ideal).rows() == GOLDEN_BETTI_ROWS
+        assert graded_betti(golden_ideal).rows == GOLDEN_BETTI_ROWS
 
     def test_beta0_counts_generators(self, golden_ideal):
         table = graded_betti(golden_ideal)
@@ -54,7 +54,7 @@ class TestGradedBetti:
             m = v[-1] - 2 * 3 + 1
             for k in range(m + 1):
                 expected[k] = expected.get(k, 0) + mult_binom(m, k)
-        got = graded_betti(I).rows()[3]
+        got = graded_betti(I).rows[3]
         assert got == [expected[k] for k in range(len(got))]
 
     def test_formula_summed_per_generator(self):
@@ -127,7 +127,7 @@ class TestGradedBetti:
         assert table.entries[(30, 2)] == mult_binom(62, 31)
 
     def test_row_support_has_no_internal_zeros(self, golden_ideal):
-        for row in graded_betti(golden_ideal).rows().values():
+        for row in graded_betti(golden_ideal).rows.values():
             assert all(row)
 
 
@@ -138,7 +138,7 @@ class TestCornersFromTable:
         assert seq.values == GOLDEN_CORNER_VALUES
 
     def test_single_entry_table(self):
-        seq = corners_from_table(BettiTable({(3, 2): 7}))
+        seq = corners_from_table(BettiTable({2: [0, 0, 0, 7]}))
         assert seq.corners == ((3, 2),)
         assert seq.values == (7,)
 
@@ -153,7 +153,8 @@ class TestCornersFromTable:
 
     def test_sparse_table_with_gap(self):
         # definition-driven: works on tables with holes
-        table = BettiTable({(0, 2): 1, (5, 2): 2, (1, 4): 3})
+        table = BettiTable({2: [1, 0, 0, 0, 0, 2], 4: [0, 3]})
+        assert table.entries == {(0, 2): 1, (5, 2): 2, (1, 4): 3}
         seq = corners_from_table(table)
         assert seq.corners == ((5, 2), (1, 4))
         assert seq.values == (2, 3)
@@ -206,7 +207,7 @@ class TestRegularityProjDim:
         assert regularity(table) == 4
 
     def test_single_entry(self):
-        table = BettiTable({(4, 7): 2})
+        table = BettiTable({7: [0, 0, 0, 0, 2]})
         assert (proj_dim(table), regularity(table)) == (4, 7)
 
     def test_corner_extremes(self, golden_ideal):
@@ -221,11 +222,16 @@ class TestRegularityProjDim:
         with pytest.raises(TSpreadError):
             proj_dim(BettiTable({}))
 
-    @pytest.mark.parametrize("entries", [{(0, 2): 0}, {(-1, 2): 1}, {(1, 2): -3}])
+    @pytest.mark.parametrize("entries", [{2: [0]}, {2: [1, 0]}, {2: [1, -3, 2]}, {2: []}])
     def test_bad_entry_raises(self, entries):
-        # zero entries are never stored, and no entry has a negative k or value
-        with pytest.raises(TSpreadError, match="bad Betti entry"):
+        # a row is nonempty and ends at its last nonzero entry, and no entry
+        # is negative; zeros inside a row are holes
+        with pytest.raises(TSpreadError, match="bad Betti row of degree 2"):
             BettiTable(entries)
+
+    def test_rows_out_of_order_raise(self):
+        with pytest.raises(TSpreadError, match="ascending"):
+            BettiTable({4: [1], 2: [1]})
 
 
 class TestRendering:

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,52 @@ class TestBetti:
                                    "regularity": 0, "proj_dim": 0}
 
 
+@pytest.fixture
+def digit_cap():
+    """Python's cap on int-to-str digits, lowered to its minimum for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str cap before Python 3.10.7")
+class TestDigitCap:
+    """Exact results longer than the int-to-str cap are written whole, the
+    cap is restored after, and input is still held to it."""
+
+    def test_count(self, capsys, digit_cap):
+        code, out, err = run_cli(["enumerate", "-n", "2200", "-t", "1", "-d", "1100",
+                                  "--count"], capsys)
+        assert sys.get_int_max_str_digits() == digit_cap
+        sys.set_int_max_str_digits(0)  # to read the 661-digit answer here
+        assert (code, err) == (0, "") and out == f"{math.comb(2200, 1100)}\n"
+
+    def test_betti_json(self, capsys, digit_cap):
+        # B_1(x2200) has the generators x1, ..., x2200, so its one row is
+        # beta_{k,k+1} = sum over i of binom(i - 1, k) = binom(2200, k + 1)
+        code, out, err = run_cli(["betti", "--borel", "--gens", "x2200", "-n", "2200",
+                                  "-t", "1", "--format", "json"], capsys)
+        assert sys.get_int_max_str_digits() == digit_cap
+        sys.set_int_max_str_digits(0)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["betti"]["rows"] == {"1": [math.comb(2200, k + 1) for k in range(2200)]}
+        assert doc["corners"] == {"corners": [[2199, 1]], "values": [1]}
+
+    def test_input_keeps_the_cap(self, capsys, digit_cap, tmp_path):
+        big = "1" * (digit_cap + 1)
+        with pytest.raises(SystemExit) as exc:  # argparse: invalid int value
+            main(["enumerate", "-n", big, "-t", "1", "-d", "1", "--count"])
+        assert exc.value.code == 2
+        path = tmp_path / "ideal.json"
+        path.write_text(f'{{"n": {big}, "t": 1, "gens": [[1]]}}')
+        code, out, err = run_cli(["betti", str(path)], capsys)
+        assert (code, out) == (3, "") and "malformed ideal JSON" in err
+        assert sys.get_int_max_str_digits() == digit_cap
+
+
 class TestConstruct:
     def test_14_3_2(self, capsys):
         code, out, _ = run_cli(["construct", "-n", "14", "-t", "3", "-l", "2"],
@@ -279,7 +326,7 @@ class TestConstruct:
         path.write_text(out)
         code, out, _ = run_cli(["betti", str(path), "--format", "json"], capsys)
         ideal, _ = construct_extremal_ideal(150, 2, 2)
-        rows = graded_betti(ideal).rows()
+        rows = graded_betti(ideal).rows
         assert code == 0
         assert json.loads(out)["betti"] == {"rows": {str(l): r for l, r in rows.items()}}
 

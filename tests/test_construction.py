@@ -312,8 +312,8 @@ class TestSelfChecks:
             build_omegas(14, 3, 2)
 
     def test_corners_off_the_prediction(self, monkeypatch):
-        monkeypatch.setattr(construction, "corners_via_characterization",
-                            lambda ideal, check_stability: CornerSequence((), ()))
+        monkeypatch.setattr(construction, "corners_from_peaks",
+                            lambda t, peaks: CornerSequence((), ()))
         with pytest.raises(InvariantViolationError,
                            match=r"corner verification failed for \(n=14, t=3, ell1=2\)"):
             construct_extremal_ideal(14, 3, 2)

@@ -25,7 +25,7 @@ from tspread import (
     spread_monomials,
 )
 from tspread import cli, ideals, oracle
-from tspread.betti import corners_from_peaks, corners_via_characterization, merge_rows
+from tspread.betti import BettiTable, corners_from_peaks, corners_via_characterization
 from tspread.cli import main
 from tspread.ideals import SpreadIdeal, generator_move_violation
 from tspread.monomials import max_spread_degree
@@ -821,14 +821,14 @@ class TestCrossValidate:
     @pytest.mark.parametrize("n,t,ell1,gaps", [(7, 1, 2, 2369), (9, 2, 2, 77),
                                                (10, 3, 3, 0), (8, 2, 2, 7)])
     def test_link_data_matches_the_whole_ideal_readings(self, n, t, ell1, gaps):
-        # check (b) merges the rows and folds the peaks of links read once;
+        # check (b) tables the rows and folds the peaks of links read once;
         # (8, 2, 2) has 7 ideals with no new generators in a middle degree
         skipped = 0
         stream = enumerate_strongly_stable_ideals(Context(n, t), ell1)
         for ideal, slots in oracle._link_data(stream, t):
             assert [(l, link) for l, link, *_ in slots] == sorted(ideal.gens.items())
-            rows = merge_rows([(l, row) for l, _, row, _, _ in slots])
-            assert rows.entries == graded_betti(ideal).entries
+            table = BettiTable({l: row for l, _, row, _, _ in slots})
+            assert table.rows == graded_betti(ideal).rows
             peaks = corners_from_peaks(t, [(l, peak) for l, _, _, peak, _ in slots])
             assert peaks == corners_via_characterization(ideal)
             skipped += max(ideal.gens) - min(ideal.gens) + 1 > len(ideal.gens)

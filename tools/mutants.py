@@ -115,9 +115,11 @@ MUTANTS = [
            "if mark >= lo:", "if mark > lo:"),
     # the closed forms
     Mutant("betti-corner-ge", BETTI,
-           "        if k > best:", "        if k >= best:"),
+           "k > corners[-1][0]", "k >= corners[-1][0]"),
     Mutant("table-corner-ge", BETTI,
-           "if row_max[l] > best:", "if row_max[l] >= best:"),
+           "len(row) - 1 > corners[-1][0]", "len(row) - 1 >= corners[-1][0]"),
+    Mutant("table-zero-last-entry", BETTI,
+           "row[-1] <= 0", "row[-1] < 0"),
     Mutant("run-merge-across-gap", BETTI,
            "runs[-1][1] == m - 1", "runs[-1][1] == m - 2"),
     Mutant("run-merge-never", BETTI,
