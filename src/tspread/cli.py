@@ -24,8 +24,8 @@ from .betti import corners_from_table, graded_betti, proj_dim, regularity
 from .construction import construct_extremal_ideal
 from .errors import TSpreadError
 from .ideals import SpreadIdeal, borel_ideal
-from .monomials import (Context, format_monomial, parse_monomial, spread_count,
-                        spread_monomials)
+from .monomials import (Context, format_monomial, iter_spread_monomials, parse_monomial,
+                        spread_count)
 from .oracle import SearchBudget, cross_validate, regenerate_table
 
 EXIT_OK = 0
@@ -91,14 +91,22 @@ def _load_ideal(args) -> SpreadIdeal:
 
 
 def cmd_enumerate(args) -> int:
+    """Write M_{n,d,t} one monomial at a time, never holding the list; the
+    JSON is that of ``json.dumps`` of the list, written piecewise."""
     ctx = Context(args.n, args.t)
     if args.count:
         with _exact_digits():
             print(spread_count(ctx.n_vars, args.d, ctx.spread_t))
-    elif args.format == "json":
-        print(json.dumps(spread_monomials(ctx, args.d)))
+        return EXIT_OK
+    monomials = iter_spread_monomials(ctx, args.d)
+    if args.format == "json":
+        write = sys.stdout.write
+        write("[")
+        for i, u in enumerate(monomials):
+            write(f"{', ' if i else ''}{json.dumps(u)}")
+        write("]\n")
     else:
-        for u in spread_monomials(ctx, args.d):
+        for u in monomials:
             print(format_monomial(u))
     return EXIT_OK
 

@@ -51,8 +51,9 @@ def j_max(n: int, t: int, ell1: int = 2) -> int:
     """Index of the last forward monomial.
 
     floor(n / (1+t)) - 1 in initial degree two; in general the numerator is
-    reduced by (l1 - 2)t.
+    reduced by (l1 - 2)t.  Refuses t < 1 and n < 1 as :func:`decompose` does.
     """
+    decompose(n, t)
     return (n - (ell1 - 2) * t) // (1 + t) - 1
 
 

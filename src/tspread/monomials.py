@@ -15,6 +15,7 @@ is descending slex order, which is how every function here sorts.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -82,8 +83,9 @@ def max_spread_degree(n: int, t: int) -> int:
     return (n - 1) // t + 1
 
 
-def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
-    """All t-spread monomials of degree d, in descending slex order.
+def iter_spread_monomials(ctx: Context, d: int) -> Iterator[Monomial]:
+    """The t-spread monomials of degree d, in descending slex order, one at
+    a time; a negative degree raises InvalidMonomialError at the call.
 
     Adding j(t - 1) to the index at position j = 0, ..., d-1 maps the
     d-subsets of {1, ..., n - (d-1)(t-1)} one to one onto the t-spread
@@ -95,8 +97,14 @@ def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
     if d < 0:
         raise InvalidMonomialError(f"degree must be >= 0, got {d}")
     shift = [j * (t - 1) for j in range(d)]
-    return [tuple(map(add, s, shift))
-            for s in combinations(range(1, n - (d - 1) * (t - 1) + 1), d)]
+    return (tuple(map(add, s, shift))
+            for s in combinations(range(1, n - (d - 1) * (t - 1) + 1), d))
+
+
+def spread_monomials(ctx: Context, d: int) -> list[Monomial]:
+    """All t-spread monomials of degree d, in descending slex order: the
+    list of :func:`iter_spread_monomials`."""
+    return list(iter_spread_monomials(ctx, d))
 
 
 def format_monomial(u: Monomial) -> str:
@@ -117,11 +125,12 @@ def parse_monomial(text: str) -> Monomial:
         raise InvalidMonomialError("empty monomial string")
     indices = []
     for factor in s.split("*"):
-        if not factor.startswith("x"):
+        digits = factor[1:]  # int() alone would take "+1", "1_0" and non-ASCII digits
+        if not (factor.startswith("x") and digits.isascii() and digits.isdigit()):
             raise InvalidMonomialError(f"bad factor {factor!r} in {text!r}")
         try:
-            indices.append(int(factor[1:]))
-        except ValueError:
+            indices.append(int(digits))
+        except ValueError:  # past Python's cap on int-from-str digits
             raise InvalidMonomialError(f"bad factor {factor!r} in {text!r}") from None
     u = tuple(indices)
     for a, b in zip(u, u[1:]):

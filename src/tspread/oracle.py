@@ -127,9 +127,9 @@ class TableCell:
 class _Layer:
     """M_{n,d,t} with bitmask machinery: per monomial u, its up-set in the
     move order (itself and every monomial reached by raising indices), the
-    monomials with its last index, and the shadow in the next layer of its
-    down-set, written ↓u (itself and every monomial reached by lowering
-    indices)."""
+    monomials with its last index, and its block of the next layer and the
+    shadow there of its down-set, written ↓u (itself and every monomial
+    reached by lowering indices)."""
 
     def __init__(self, ctx: Context, d: int):
         self.ctx = ctx
@@ -158,25 +158,38 @@ class _Layer:
                 up[p] |= up[q]
         self.up = up
         self.down_shadow = [0] * self.size  # masks into the next layer, see link
+        self.starts = [0] * (self.size + 1)  # its block bounds there, see link
 
     def link(self) -> None:
-        """Fill in ``down_shadow``.  A monomial w of the next layer lies in
-        the shadow of ↓u iff w[:-1] <= u componentwise, so the shadow of ↓u
-        is the block of the monomials that extend u by one last index,
-        joined with the shadows of its immediate predecessors, which come
-        first.  Both layers are in ascending tuple order, so the blocks are
-        contiguous and run in the order of this layer."""
-        down_shadow = self.down_shadow
+        """Fill in ``down_shadow`` and ``starts``.  A monomial w of the next
+        layer lies in the shadow of ↓u iff w[:-1] <= u componentwise, so the
+        shadow of ↓u is u's block, the w with w[:-1] = u, joined with the
+        shadows of its immediate predecessors, which come first.  Both layers
+        are in ascending tuple order, so the blocks are disjoint, contiguous
+        and in this layer's order: the q-th is bits starts[q]..starts[q+1]-1."""
+        down_shadow, starts = self.down_shadow, self.starts
         n, t = self.ctx.n_vars, self.ctx.spread_t
-        start = 0
         for q, u in enumerate(self.monomials):
             # the last indices that extend u run from u[-1] + t (or 1) to n
-            width = max(0, n + 1 - (u[-1] + t if u else 1))
-            mask = ((1 << width) - 1) << start
-            start += width
+            starts[q + 1] = starts[q] + max(0, n + 1 - (u[-1] + t if u else 1))
+            mask = (1 << starts[q + 1]) - (1 << starts[q])
             for p in self.preds[q]:
                 mask |= down_shadow[p]
             down_shadow[q] = mask
+
+    def shadow(self, down_set: int) -> int:
+        """The shadow in the next layer of ``down_set``, which must be a
+        down-set; every required set is a shadow, and every shadow is a
+        down-set.  It is the union of the members' blocks: bits
+        starts[a]..starts[b]-1 for each maximal run a..b-1 of set bits."""
+        starts, out = self.starts, 0
+        while down_set:
+            low = down_set & -down_set
+            above = down_set + low  # the carry clears the run a..b-1, sets bit b
+            end = above & -above
+            out |= (1 << starts[end.bit_length() - 1]) - (1 << starts[low.bit_length() - 1])
+            down_set &= above
+        return out
 
     def members(self, mask: int) -> list[Monomial]:
         """Monomials of a bitmask, slex-descending."""
@@ -220,9 +233,9 @@ def _check_mask_bits(sizes: list[int], budget: SearchBudget) -> None:
     word: a layer of a monomials above one of b holds a up-sets and a
     down-set shadows, a * (a + b) bits, so the masks grow with the square of
     the layer sizes.  Not counted: each layer's predecessor lists, at most d
-    indices per monomial of degree d, and its step table of
-    :func:`_pred_steps`, d(n + 1) entries; the comment at ``_MAX_N`` says
-    what bounds the table."""
+    indices per monomial of degree d, its block bounds ``starts``, one int
+    per monomial and one more, and its step table of :func:`_pred_steps`,
+    d(n + 1) entries; the comment at ``_MAX_N`` says what bounds the table."""
     bits = sum(a * (a + b) for a, b in zip(sizes, sizes[1:] + [0]))
     if bits > 64 * budget.max_states:
         raise BudgetExceededError(
@@ -248,22 +261,12 @@ def _layers(ctx: Context, ell1: int, budget: SearchBudget) -> list[_Layer]:
     return layers
 
 
-def _union(masks: list[int], bits: int) -> int:
-    """The OR of ``masks[p]`` over the set bits p of ``bits``."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= masks[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def _down_sets(layer: _Layer, required: int = 0):
     """Every down-set D of the move order that contains ``required``.
 
     Yields ``(gens, shadow)``: the bitmask of D minus ``required`` (the new
     generators) and the shadow of D in the next layer.  ``required`` must
-    itself be a down-set, which every shadow is.
+    itself be a down-set, which every shadow is, for :meth:`_Layer.shadow`.
 
     Elements are indexed slex-descending, a linear extension of the move
     order, and the search decides them lowest index first.  Excluding an
@@ -275,7 +278,7 @@ def _down_sets(layer: _Layer, required: int = 0):
     """
     up, down_shadow = layer.up, layer.down_shadow
     free = ((1 << layer.size) - 1) & ~required
-    stack = [(free, 0, _union(down_shadow, required))]
+    stack = [(free, 0, layer.shadow(required))]
     pop, push = stack.pop, stack.append
     while stack:
         free, gens, shadow = pop()
@@ -364,10 +367,6 @@ def _link_data(ideals, t: int):
         yield ideal, slots
 
 
-# solve() past the top layer: one (empty) choice, no corner candidate, no corner
-_TOP = ((-1, 0),)
-
-
 class _PrincipalSearch:
     """Memoised max-corner search over (layer, required shadow) states.
 
@@ -421,28 +420,30 @@ class _PrincipalSearch:
 
     def choices(self, li: int, required: int) -> dict[int, list[int]]:
         """The shadows of the candidates of layer ``li`` above ``required``
-        that the scan visits, per largest last index mm of their new
-        generators (-1 for the candidate without any), smallest first.
+        that the scan visits, smallest first, per corner candidate k of
+        their new generators (-1 for the candidate without any; every other
+        key is at least 0).
 
         The scan runs lowest index first, a linear extension of the move
         order, and after each visit clears the rest of the visited
         monomial's last-index class above it."""
         layer = self.layers[li]
         down_shadow, maxval, up, same = layer.down_shadow, layer.maxval, layer.up, layer.same
-        base = _union(down_shadow, required)
+        offset = corner_shift(layer.ctx.spread_t, layer.d)
+        base = layer.shadow(required)
         free = ((1 << layer.size) - 1) & ~required
         self.meter.charge(1 + free.bit_count())
         shadows: dict[int, set[int]] = {-1: {base}}
         while free:
             low = free & -free
             p = low.bit_length() - 1
-            shadows.setdefault(maxval[p], set()).add(base | down_shadow[p])
+            shadows.setdefault(maxval[p] - offset, set()).add(base | down_shadow[p])
             free &= ~(up[p] & same[p])  # p and the rest of its class above it
-        return {mm: sorted(group, key=int.bit_count) for mm, group in shadows.items()}
+        return {k: sorted(group, key=int.bit_count) for k, group in shadows.items()}
 
     def solve(self, li: int, required: int):
         if li == len(self.layers):
-            return _TOP
+            return ((-1, 0),)  # past the top layer: no candidate, no corner
         memo = self.memo[li]
         found = memo.get(required)
         if found is None:
@@ -450,11 +451,8 @@ class _PrincipalSearch:
         return found
 
     def _solve(self, li: int, required: int):
-        layer = self.layers[li]
-        offset = corner_shift(layer.ctx.spread_t, layer.d)
         front: dict[int, int] = {}
-        for mm, shadows in self.choices(li, required).items():
-            k = mm - offset if mm >= 0 else -1
+        for k, shadows in self.choices(li, required).items():
             for shadow in shadows:
                 for b, r in self.solve(li + 1, shadow):
                     if k > b:
@@ -489,11 +487,9 @@ def brute_force_max_corners(ctx: Context, ell1: int,
     try:
         if ell1 <= max_spread_degree(ctx.n_vars, t):
             search = _PrincipalSearch(_layers(ctx, ell1, budget), budget)
-            offset = corner_shift(t, ell1)
-            for mm, shadows in search.choices(0, 0).items():
-                if mm < 0:
+            for k, shadows in search.choices(0, 0).items():
+                if k < 0:
                     continue  # no generator in degree l1
-                k = mm - offset
                 for shadow in shadows:
                     above = search.solve(1, shadow)
                     top = max(r + (k > b) for b, r in above)

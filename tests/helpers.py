@@ -6,12 +6,13 @@ domination closures, the basis-walk stability test, the literal scan for the
 first unit decrement outside an ideal, the one-ideal-at-a-time max-corner
 walk, the max-corner dynamic program over every down-set, the max-corner
 candidates scanned over every free monomial and their ⊆-minimal shadows,
-the Betti numbers read off linear quotients, and hand-transcribed golden
-values.  The utilities are small functions only the tests need: the
-paper's definition of the slex order, index helpers, membership by
-divisibility, the ideal file written by ``json.dumps``, the slex successor
-with a fixed last index, the literal and iterated shadows, and the
-Borel-closed sets of one degree listed by the library's down-set search.
+the shadow of a set ORed bit by bit, the Betti numbers read off linear
+quotients, and hand-transcribed golden values.  The utilities are small
+functions only the tests need: the paper's definition of the slex order,
+index helpers, membership by divisibility, the ideal file written by
+``json.dumps``, the slex successor with a fixed last index, the literal and
+iterated shadows, and the Borel-closed sets of one degree listed by the
+library's down-set search.
 """
 
 import json
@@ -228,6 +229,19 @@ DP_FRONTIER = 12
 DP_CHECK_EVERY = 4096
 
 
+def union(masks, bits):
+    """The OR of ``masks[p]`` over the set bits p of ``bits`` (reference
+    oracle): with a layer's ``down_shadow`` as ``masks``, the shadow of any
+    set, one bit at a time, where ``oracle._Layer.shadow`` reads a
+    down-set's shadow off its runs."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def frontier_down_sets(layer, required, frontier):
     """The include/exclude search of ``oracle._down_sets``, stopped at the
     nodes where at most ``frontier`` elements are undecided.
@@ -238,7 +252,7 @@ def frontier_down_sets(layer, required, frontier):
     """
     up, down_shadow, maxval = layer.up, layer.down_shadow, layer.maxval
     free = ((1 << layer.size) - 1) & ~required
-    stack = [(free, oracle._union(down_shadow, required), -1)]
+    stack = [(free, union(down_shadow, required), -1)]
     while stack:
         free, shadow, mm = stack.pop()
         while free.bit_count() > frontier:
@@ -378,13 +392,15 @@ def full_scan_candidates(layer, required):
     """The candidate shadows of ``oracle._PrincipalSearch.choices`` by
     scanning every free monomial (reference oracle): the shadow of the
     required down-set joined with that of each free monomial's down-set,
-    grouped by the monomial's last index (-1 for the required down-set
-    alone), as sets per last index in order of first appearance."""
-    base = oracle._union(layer.down_shadow, required)
+    grouped by the monomial's corner candidate, its last index less
+    t(d-1) + 1 (0 for the unit; -1 for the required down-set alone), as
+    sets per candidate in order of first appearance."""
+    offset = layer.ctx.spread_t * (layer.d - 1) + 1 if layer.d else 0
+    base = union(layer.down_shadow, required)
     groups = {-1: {base}}
     for p in range(layer.size):
         if not required >> p & 1:
-            groups.setdefault(layer.maxval[p], set()).add(base | layer.down_shadow[p])
+            groups.setdefault(layer.maxval[p] - offset, set()).add(base | layer.down_shadow[p])
     return groups
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ class TestEnumerate:
     def test_count_is_closed_form(self, capsys, monkeypatch):
         def refuse(*_):
             raise AssertionError("--count must not enumerate")
-        monkeypatch.setattr(tspread.cli, "spread_monomials", refuse)
+        monkeypatch.setattr(tspread.cli, "iter_spread_monomials", refuse)
         code, out, _ = run_cli(["enumerate", "-n", "60", "-t", "1", "-d", "30",
                                 "--count"], capsys)
         assert code == 0 and out == "118264581564861424\n"
@@ -68,6 +69,31 @@ class TestEnumerate:
         _, out, _ = run_cli(["enumerate", "-n", "6", "-t", "2", "-d", "2"],
                             capsys)
         assert out.splitlines()[:3] == ["x1*x3", "x1*x4", "x1*x5"]
+
+    @pytest.mark.parametrize("fmt,head", [
+        ("text", "*".join(f"x{i}" for i in range(1, 21)) + "\n"
+                 + "*".join(f"x{i}" for i in [*range(1, 20), 21]) + "\n"),
+        ("json", f"[{list(range(1, 21))}, {[*range(1, 20), 21]}"),
+    ], ids=["text", "json"])
+    def test_streams_under_a_memory_cap(self, fmt, head):
+        # C(40, 20) monomials, far more than 256 MiB of address space holds
+        # as a list: the first ones are written before the enumeration ends,
+        # and the child is killed once they are read
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        child = subprocess.Popen(
+            [sys.executable, "-m", "tspread", "enumerate", "-n", "40", "-t", "1",
+             "-d", "20", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=fresh_env(),
+            preexec_fn=cap)
+        try:
+            got = child.stdout.read(len(head))  # fewer only at the end of the output
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+            child.stdout.close()
+        assert got.decode() == head
 
 
 class TestBetti:
@@ -166,6 +192,14 @@ class TestBetti:
         code, out, err = run_cli(["betti", "--gens", "x1*x2", "-n", "2", "-t", "0"],
                                  capsys)
         assert code == 3 and out == "" and "spread_t" in err
+
+    @pytest.mark.parametrize("gens", ["x+1", "x1_0"])
+    def test_non_decimal_index_exits_3(self, capsys, gens):
+        # int() reads "x+1" as x1 and "x1_0" as x10, and --borel closes
+        # either to a stable ideal; an index takes ASCII digits only
+        code, out, err = run_cli(["betti", "--gens", gens, "-n", "20", "-t", "2",
+                                  "--borel"], capsys)
+        assert code == 3 and out == "" and f"bad factor {gens!r}" in err
 
     def test_non_spread_input_exits_3(self, capsys):
         code, _, err = run_cli(["betti", "--gens", "x1*x2", "-n", "9", "-t", "2"],
@@ -658,15 +692,18 @@ class TestArgumentErrors:
         capsys.readouterr()
 
 
-def run_fresh_process(args):
-    """Run ``python -m tspread`` in a child process, which imports the same
+def fresh_env():
+    """The environment in which ``python -m tspread`` imports the same
     tspread as this process, installed or not."""
     src = str(Path(tspread.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "tspread", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-    )
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_fresh_process(args):
+    """Run ``python -m tspread`` in a child process, in :func:`fresh_env`."""
+    return subprocess.run([sys.executable, "-m", "tspread", *args],
+                          capture_output=True, text=True, env=fresh_env())
 
 
 def test_console_entry_point():

@@ -101,6 +101,17 @@ class TestScalars:
         assert nu_max(32, 5, 2) == -1
         assert nu_max(138, 11, 5) == 0
 
+    @pytest.mark.parametrize("n,t,match", [
+        (10, 0, "spread t must be positive"),
+        (10, -1, "spread t must be positive"),
+        (0, 2, "n must be >= 1"),
+    ])
+    def test_refuse_outside_the_domain(self, n, t, match):
+        # decompose's check: j_max(10, 0) was 9 and j_max(10, -1) divided by 0
+        for scalar in (j_max, s_value, nu_max):
+            with pytest.raises(ValueError, match=match):
+                scalar(n, t)
+
 
 class TestMaxCorners:
     @pytest.mark.parametrize("n,t,ell1,want", [

@@ -179,7 +179,8 @@ class TestTextSyntax:
     def test_whitespace_insensitive(self):
         assert parse_monomial(" x2 * x5*x14 ") == (2, 5, 14)
 
-    @pytest.mark.parametrize("bad", ["x2*x2", "x5*x2", "y3", "x", "", "x0*x3"])
+    @pytest.mark.parametrize("bad", ["x2*x2", "x5*x2", "y3", "x", "", "x0*x3",
+                                     "x+1", "x1_000", "x\u0661"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(InvalidMonomialError):
             parse_monomial(bad)

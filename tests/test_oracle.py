@@ -284,8 +284,8 @@ def _principal_work(n, t, ell1, budget=None):
     search = oracle._PrincipalSearch(oracle._layers(Context(n, t), ell1, SearchBudget()),
                                      budget or SearchBudget())
     try:
-        for mm, shadows in search.choices(0, 0).items():
-            if mm >= 0:
+        for k, shadows in search.choices(0, 0).items():
+            if k >= 0:
                 for shadow in shadows:
                     search.solve(1, shadow)
     except BudgetExceededError:
@@ -312,6 +312,41 @@ class TestLayers:
                         assert layer.down_shadow[q] == want, (n, t, u)
                         checked += 1
         assert checked == 3_677  # every t-spread monomial, 1 included
+
+    @pytest.mark.parametrize("n,t,ell1,states", [
+        (14, 2, 2, 679), (13, 3, 2, 31), (11, 1, 2, 13_109), (12, 2, 3, 35)])
+    def test_shadows_by_runs_on_every_state(self, n, t, ell1, states):
+        # the runs of each required set against the per-bit reference, on
+        # every state the search solves, the top layer's (shadow 0) included
+        layers = oracle._layers(Context(n, t), ell1, SearchBudget())
+        search = oracle._PrincipalSearch(layers, SearchBudget())
+        search.solve(0, 0)
+        checked = 0
+        for layer, memo in zip(layers, search.memo):
+            for required in memo:
+                got = layer.shadow(required)
+                assert got == helpers.union(layer.down_shadow, required), (layer.d, required)
+                assert got or layer is layers[-1] or not required
+                checked += 1
+        assert checked == states
+
+    def test_shadows_by_runs_on_every_down_set(self):
+        # every down-set of every layer from the unit up, the empty set and
+        # the whole layer among them, as the walk requires them; the top
+        # layer is not linked, so each of its shadows is 0
+        checked = 0
+        for n, t in ((7, 1), (9, 2), (10, 3)):
+            layers = oracle._layers(Context(n, t), 0, SearchBudget())
+            for layer, above in zip(layers, layers[1:] + [None]):
+                for gens, shadow in oracle._down_sets(layer):
+                    assert layer.shadow(gens) == shadow == helpers.union(
+                        layer.down_shadow, gens), (n, t, layer.d, gens)
+                    assert shadow or above is None or not gens
+                    checked += 1
+                assert layer.shadow(0) == 0
+                assert layer.shadow((1 << layer.size) - 1) == (
+                    (1 << above.size) - 1 if above else 0)
+        assert checked == 1_587
 
     def test_predecessors_are_the_unit_decrements(self):
         # the step arithmetic against the literal route: lower each index of
@@ -375,10 +410,10 @@ class TestCornerSearch:
                 candidates = helpers.full_scan_candidates(layers[li], required)
                 want = helpers.full_scan_choices(layers[li], required)
                 assert list(got) == list(candidates) == list(want)
-                for mm, shadows in got.items():
-                    assert set(shadows) <= candidates[mm], (li, required, mm)
-                    assert sorted(helpers.minimal_shadows(shadows)) == sorted(want[mm]), (
-                        li, required, mm)
+                for k, shadows in got.items():
+                    assert set(shadows) <= candidates[k], (li, required, k)
+                    assert sorted(helpers.minimal_shadows(shadows)) == sorted(want[k]), (
+                        li, required, k)
                 states += 1
         assert states > 30
 
@@ -398,7 +433,7 @@ class TestCornerSearch:
         library = oracle._PrincipalSearch(layers, SearchBudget())
         reference = FullScanSearch(layers, SearchBudget())
         for search in (library, reference):
-            for mm, shadows in search.choices(0, 0).items():
+            for k, shadows in search.choices(0, 0).items():
                 for shadow in shadows:
                     search.solve(1, shadow)
         for li, (got, want) in enumerate(zip(library.memo, reference.memo)):

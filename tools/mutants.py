@@ -60,6 +60,8 @@ class Mutant:
 ORACLE = "src/tspread/oracle.py"
 IDEALS = "src/tspread/ideals.py"
 BETTI = "src/tspread/betti.py"
+CONSTRUCTION = "src/tspread/construction.py"
+MONOMIALS = "src/tspread/monomials.py"
 
 MUTANTS = [
     # the step table of _pred_steps and the predecessor condition
@@ -79,6 +81,18 @@ MUTANTS = [
            note="no index 1 is lowered, and 1 is an entry only at position 0"),
     Mutant("preds-gap", ORACLE,
            "u[p] - u[p - 1] > t", "u[p] - u[p - 1] >= t"),
+    # the blocks of a linked layer and the shadows read off them
+    Mutant("link-block-width", ORACLE,
+           "max(0, n + 1 - (u[-1] + t if u else 1))", "max(0, n - (u[-1] + t if u else 1))"),
+    Mutant("shadow-run-end", ORACLE,
+           "starts[end.bit_length() - 1]", "starts[end.bit_length() - 2]"),
+    Mutant("shadow-run-start", ORACLE,
+           "starts[low.bit_length() - 1]", "starts[low.bit_length()]"),
+    # the down-set search of the walk
+    Mutant("down-sets-exclude-one", ORACLE,
+           "free &= ~up[p]", "free &= ~low"),
+    Mutant("down-sets-shadow-not-carried", ORACLE,
+           "gens | low, shadow | down_shadow[p]))", "gens | low, shadow))"),
     # the max-corner search
     Mutant("search-corner-ge", ORACLE,
            "if k > b:\n                        b, r = k, r + 1",
@@ -128,6 +142,18 @@ MUTANTS = [
            note="the keys are distinct, so no run grows, and one-key runs sum alike"),
     Mutant("corner-shift-off-by-one", BETTI,
            "return t * (l - 1) + 1 if l else 0", "return t * (l - 1) + 2 if l else 0"),
+    Mutant("corner-peak-counts-all", BETTI,
+           "return mm, lasts.count(mm)", "return mm, len(lasts)"),
+    # the construction and its scalars
+    Mutant("critic-block-start", CONSTRUCTION,
+           "lo = k - 4 - s - nu * (1 + t)", "lo = k - 5 - s - nu * (1 + t)"),
+    Mutant("excluded-top-bound", CONSTRUCTION,
+           "n - t * (deg - 1 - p)", "n - t * (deg - p)"),
+    Mutant("j-max-unchecked", CONSTRUCTION,
+           "    decompose(n, t)\n", ""),
+    # the monomial parser
+    Mutant("parse-any-digits", MONOMIALS,
+           "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
 ]
 
 
