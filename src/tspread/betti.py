@@ -82,7 +82,8 @@ def graded_betti(ideal: SpreadIdeal) -> BettiTable:
     """Betti table of a t-spread strongly stable ideal via the closed formula,
     one :func:`betti_row` per generator degree.
 
-    Raises NotStronglyStableError (the formula does not apply) otherwise.
+    Otherwise the gate :func:`~tspread.ideals.require_strongly_stable`
+    raises NotStronglyStableError (the formula does not apply).
     """
     require_strongly_stable(ideal)
     t, gens = ideal.ctx.spread_t, ideal.gens
@@ -137,8 +138,9 @@ def corners_via_characterization(ideal: SpreadIdeal) -> CornerSequence:
     """Corners computed from generator data alone, without the Betti table:
     :func:`corners_from_peaks` over the :func:`corner_peak` of each degree.
 
-    Raises NotStronglyStableError (the characterization does not apply)
-    unless the ideal is strongly stable.
+    Unless the ideal is strongly stable, the gate
+    :func:`~tspread.ideals.require_strongly_stable` raises
+    NotStronglyStableError (the characterization does not apply).
     """
     require_strongly_stable(ideal)
     return corners_from_peaks(ideal.ctx.spread_t,

@@ -308,12 +308,58 @@ def borel_ideal(generators, ctx: Context) -> SpreadIdeal:
     return SpreadIdeal(ctx, gens)
 
 
-def generator_move_violation(ideal: SpreadIdeal):
+def gate_degree(trie: dict, gens, t: int, created: list | None = None) -> None:
+    """One degree of :func:`require_strongly_stable`: test each generator u
+    of ``gens``, one degree's generators in slex-descending order, against
+    ``trie``, the prefix trie of every generator before it, then insert it.
+
+    Raises NotStronglyStableError at the first decrement
+    ``moved = x_{a-1} * (u / x_a)`` outside the ideal, with the witness
+    ``(u, a, a - 1, moved)``.  Each decrement of u at position p is one
+    walk along its own path from u's node at depth p, since a minimal
+    generator has no generator as a proper prefix.  With ``created`` given,
+    the first key this call sets for each generator is appended to it as
+    ``(node, key)``: the child where the generator's path leaves the trie,
+    or else its end mark.  Deleting them in reverse order restores the
+    trie, also after a raise.
+    """
+    for u in gens:
+        node = trie  # u's node at depth p, made as u is walked
+        new = created is not None  # u's first key is still to be recorded
+        last = len(u)
+        prev = 1 - t  # u[p - 1]; at p = 0, what keeps a - 1 >= 1
+        for p, a in enumerate(u):
+            if a - prev > t:  # x_{a-1} * (u / x_a) is t-spread
+                walk, q = node.get(a - 1), p + 1
+                while walk and _END not in walk and q < last:
+                    walk, q = walk.get(u[q]), q + 1
+                if not walk or _END not in walk:
+                    moved = u[:p] + (a - 1,) + u[p + 1:]
+                    raise NotStronglyStableError(
+                        f"not strongly stable: x{a - 1}*({format_monomial(u)}/x{a}) = "
+                        f"{format_monomial(moved)} lies outside the ideal",
+                        witness=(u, a, a - 1, moved),
+                    )
+            prev = a
+            child = node.get(a)
+            if child is None:
+                child = node[a] = {}
+                if new:
+                    created.append((node, a))
+                    new = False
+            node = child
+        node[_END] = True
+        if new:
+            created.append((node, _END))
+
+
+def require_strongly_stable(ideal: SpreadIdeal) -> None:
     """Strong-stability test: t-spread unit decrements of minimal generators.
 
-    Returns None if stable, else the first witness ``(u, j, i, result)`` in
-    :meth:`SpreadIdeal.all_generators` order: ``i = j - 1`` and
-    ``result = x_i * (u / x_j)`` is t-spread but outside the ideal.
+    Returns if stable, else raises NotStronglyStableError with the first
+    witness ``(u, j, i, result)`` in :meth:`SpreadIdeal.all_generators`
+    order: ``i = j - 1`` and ``result = x_i * (u / x_j)`` is t-spread but
+    outside the ideal.
 
     1. t-spread strong stability is closure under t-spread unit decrements
        x_{a-1} * (w / x_a): any move factors into them, taken lowest position
@@ -344,69 +390,15 @@ def generator_move_violation(ideal: SpreadIdeal):
     t = ideal.ctx.spread_t
     trie: dict = {}
     for d in sorted(ideal.gens):
-        witness = gate_degree(trie, ideal.gens[d], t)
-        if witness is not None:
-            return witness
-    return None
-
-
-def gate_degree(trie: dict, gens, t: int, created: list | None = None):
-    """One degree of :func:`generator_move_violation`: test each generator u
-    of ``gens``, one degree's generators in slex-descending order, against
-    ``trie``, the prefix trie of every generator before it, then insert it.
-
-    Returns the first witness ``(u, j, i, result)``, or None.  Each
-    decrement of u at position p is one walk along its own path from u's
-    node at depth p, since a minimal generator has no generator as a proper
-    prefix.  With ``created`` given, the first key this call sets for each
-    generator is appended to it as ``(node, key)``: the child where the
-    generator's path leaves the trie, or else its end mark.  Deleting them
-    in reverse order restores the trie, also after a witness.
-    """
-    for u in gens:
-        node = trie  # u's node at depth p, made as u is walked
-        new = created is not None  # u's first key is still to be recorded
-        last = len(u)
-        prev = 1 - t  # u[p - 1]; at p = 0, what keeps a - 1 >= 1
-        for p, a in enumerate(u):
-            if a - prev > t:  # x_{a-1} * (u / x_a) is t-spread
-                walk, q = node.get(a - 1), p + 1
-                while walk and _END not in walk and q < last:
-                    walk, q = walk.get(u[q]), q + 1
-                if not walk or _END not in walk:
-                    return u, a, a - 1, u[:p] + (a - 1,) + u[p + 1:]
-            prev = a
-            child = node.get(a)
-            if child is None:
-                child = node[a] = {}
-                if new:
-                    created.append((node, a))
-                    new = False
-            node = child
-        node[_END] = True
-        if new:
-            created.append((node, _END))
-    return None
+        gate_degree(trie, ideal.gens[d], t)
 
 
 def is_strongly_stable(ideal: SpreadIdeal) -> bool:
     """True iff the ideal is t-spread strongly stable: the one such test in
-    ``__all__``, kept as API so that callers need not read a witness tuple."""
-    return generator_move_violation(ideal) is None
-
-
-def require_strongly_stable(ideal: SpreadIdeal) -> None:
-    """Raise NotStronglyStableError (with a witness move) unless stable."""
-    witness = generator_move_violation(ideal)
-    if witness is not None:
-        raise stability_error(witness)
-
-
-def stability_error(witness) -> NotStronglyStableError:
-    """The error for a witness ``(u, j, i, result)`` of the gate."""
-    u, j, i, moved = witness
-    return NotStronglyStableError(
-        f"not strongly stable: x{i}*({format_monomial(u)}/x{j}) = "
-        f"{format_monomial(moved)} lies outside the ideal",
-        witness=witness,
-    )
+    ``__all__``, kept as API so that callers need not catch the error of
+    :func:`require_strongly_stable`."""
+    try:
+        require_strongly_stable(ideal)
+    except NotStronglyStableError:
+        return False
+    return True

@@ -40,22 +40,17 @@ class Context:
             raise InvalidMonomialError(f"spread_t must be >= 1, got {self.spread_t}")
 
 
-def validate_monomial(u: Monomial, ctx: Context) -> None:
-    """Raise InvalidMonomialError unless u is strictly increasing inside [1, n]."""
+def is_t_spread(u: Monomial, ctx: Context) -> bool:
+    """True iff all consecutive index gaps of u are >= t.
+
+    Vacuously true in degree <= 1, including the monomial 1.  Raises
+    InvalidMonomialError unless u is strictly increasing inside [1, n].
+    """
     for a, b in zip(u, u[1:]):
         if a >= b:
             raise InvalidMonomialError(f"indices not strictly increasing: {u}")
     if u and (u[0] < 1 or u[-1] > ctx.n_vars):
         raise InvalidMonomialError(f"index out of [1, {ctx.n_vars}]: {u}")
-
-
-def is_t_spread(u: Monomial, ctx: Context) -> bool:
-    """True iff all consecutive index gaps of u are >= t.
-
-    Vacuously true in degree <= 1, including the monomial 1.  Raises
-    InvalidMonomialError on a malformed u (see :func:`validate_monomial`).
-    """
-    validate_monomial(u, ctx)
     t = ctx.spread_t
     return all(b - a >= t for a, b in zip(u, u[1:]))
 

@@ -35,7 +35,7 @@ from .construction import (construct_extremal_ideal, max_corners, omega_claim_ch
                            require_closed_forms)
 from .errors import (BudgetExceededError, ConstructionInapplicableError,
                      InvariantViolationError)
-from .ideals import SpreadIdeal, borel_closure_degree, gate_degree, stability_error
+from .ideals import SpreadIdeal, borel_closure_degree, gate_degree
 from .monomials import (Context, Monomial, max_spread_degree, spread_count,
                         spread_monomials)
 
@@ -342,10 +342,10 @@ def _link_data(ideals, t: int):
     another.  From the first link that differs on, the stale slots' keys
     are deleted, last first, and only the new links are gated and read.
     So the one trie holds exactly the lower-degree generators of the ideal
-    when a link is gated, and an unstable ideal raises
-    NotStronglyStableError with the witness of
-    :func:`~tspread.ideals.require_strongly_stable`.  The slot list is
-    reused: read it before taking the next ideal.
+    when a link is gated, and on an unstable ideal
+    :func:`~tspread.ideals.gate_degree` raises NotStronglyStableError at
+    the witness of :func:`~tspread.ideals.require_strongly_stable`.  The
+    slot list is reused: read it before taking the next ideal.
     """
     trie: dict = {}
     slots: list[tuple] = []
@@ -360,9 +360,7 @@ def _link_data(ideals, t: int):
         del slots[same:]
         for l, link in links[same:]:
             created: list = []
-            witness = gate_degree(trie, link, t, created)
-            if witness is not None:
-                raise stability_error(witness)
+            gate_degree(trie, link, t, created)
             slots.append((l, link, betti_row(t, l, link), corner_peak(link), created))
         yield ideal, slots
 

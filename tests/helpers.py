@@ -9,10 +9,10 @@ candidates scanned over every free monomial and their ⊆-minimal shadows,
 the shadow of a set ORed bit by bit, the Betti numbers read off linear
 quotients, and hand-transcribed golden values.  The utilities are small
 functions only the tests need: the paper's definition of the slex order,
-index helpers, membership by divisibility, the ideal file written by
-``json.dumps``, the slex successor with a fixed last index, the literal and
-iterated shadows, and the Borel-closed sets of one degree listed by the
-library's down-set search.
+index helpers, the library gate's witness read off its error, membership by
+divisibility, the ideal file written by ``json.dumps``, the slex successor
+with a fixed last index, the literal and iterated shadows, and the
+Borel-closed sets of one degree listed by the library's down-set search.
 """
 
 import json
@@ -26,6 +26,7 @@ from tspread import (
     Context,
     InvalidMonomialError,
     InvariantViolationError,
+    NotStronglyStableError,
     NotTSpreadError,
     SearchBudget,
     SpreadIdeal,
@@ -38,6 +39,7 @@ from tspread import (
     spread_monomials,
 )
 from tspread import oracle
+from tspread.ideals import gate_degree, require_strongly_stable
 from tspread.monomials import max_spread_degree
 
 # Maximal corner counts for 2-spread ideals, rows = initial degree,
@@ -153,6 +155,28 @@ def find_stability_violation(ideal):
                     if (all(b - a >= t for a, b in zip(moved, moved[1:]))
                             and not member(set(moved))):
                         return u, j, i, moved
+    return None
+
+
+def gate_witness(ideal):
+    """The witness ``(u, j, i, result)`` of the library's stability gate,
+    read off the NotStronglyStableError that
+    :func:`~tspread.ideals.require_strongly_stable` raises; None if it
+    passes."""
+    try:
+        require_strongly_stable(ideal)
+    except NotStronglyStableError as exc:
+        return exc.witness
+    return None
+
+
+def gate_step(trie, gens, t, created=None):
+    """:func:`~tspread.ideals.gate_degree` on one degree's generators, its
+    witness read as in :func:`gate_witness`."""
+    try:
+        gate_degree(trie, gens, t, created)
+    except NotStronglyStableError as exc:
+        return exc.witness
     return None
 
 

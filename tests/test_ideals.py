@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tspread import (
     Context,
     IdealFormatError,
+    NotStronglyStableError,
     NotTSpreadError,
     SearchBudget,
     SpreadIdeal,
@@ -23,14 +24,14 @@ from tspread import (
     spread_monomials,
 )
 from tspread import oracle
-from tspread.ideals import (_END, _LAST_END, _trie_add, gate_degree,
-                            generator_move_violation)
+from tspread.ideals import _END, _LAST_END, _trie_add, require_strongly_stable
 from tspread.monomials import max_spread_degree
 
 
 from helpers import (bfs_borel_ideal, bfs_closure, contains, domination_closure,
-                     find_stability_violation, first_outside_decrement, ideal_json,
-                     iterated_shadow, literal_shadow, pairwise_minimalize)
+                     find_stability_violation, first_outside_decrement, gate_step,
+                     gate_witness, ideal_json, iterated_shadow, literal_shadow,
+                     pairwise_minimalize)
 
 
 def spread_contexts(max_n=9, max_t=3):
@@ -246,7 +247,17 @@ class TestStrongStability:
 
     def test_witness_is_first_unit_decrement(self):
         I = SpreadIdeal.from_generators(Context(9, 2), [(2, 5)])
-        assert generator_move_violation(I) == ((2, 5), 2, 1, (1, 5))
+        assert gate_witness(I) == ((2, 5), 2, 1, (1, 5))
+        assert not is_strongly_stable(I)
+
+    def test_error_names_the_witness_move(self):
+        I = SpreadIdeal.from_generators(Context(9, 2), [(2, 4)])
+        with pytest.raises(NotStronglyStableError) as err:
+            require_strongly_stable(I)
+        assert str(err.value) == ("not strongly stable: x1*(x2*x4/x2) = x1*x4 "
+                                  "lies outside the ideal")
+        assert err.value.witness == ((2, 4), 2, 1, (1, 4))
+        assert not is_strongly_stable(I)
 
     def test_decrement_in_ideal_without_generator_prefix(self):
         # x1x3x4 = x4 * (x1x3x5 / x5) lies in I through x1x4, which is no
@@ -254,21 +265,23 @@ class TestStrongStability:
         # lower-degree generator, which an ascending-degree scan meets first
         I = SpreadIdeal.from_generators(Context(5, 1), [(1, 4), (1, 3, 5)])
         assert contains(I, (1, 3, 4))
-        assert generator_move_violation(I) == ((1, 4), 4, 3, (1, 3))
+        assert gate_witness(I) == ((1, 4), 4, 3, (1, 3))
         assert first_outside_decrement(I) == ((1, 4), 4, 3, (1, 3))
+        assert not is_strongly_stable(I)
 
     def test_large_constructed_ideal_is_stable(self):
         # 14,998 generators over 148 degrees
         I, _ = construct_extremal_ideal(300, 2, 2)
-        assert generator_move_violation(I) is None
+        assert gate_witness(I) is None
 
 
 def assert_gate_matches_basis_walk(ideal) -> bool:
     """The gate and the basis walk agree; a gate witness is a t-spread unit
     decrement of a minimal generator that lies outside the ideal.  Returns
     the verdict (True for stable)."""
-    witness = generator_move_violation(ideal)
+    witness = gate_witness(ideal)
     assert witness == first_outside_decrement(ideal)
+    assert is_strongly_stable(ideal) == (witness is None)
     assert (witness is None) == (find_stability_violation(ideal) is None)
     if witness is not None:
         u, j, i, moved = witness
@@ -386,7 +399,7 @@ def test_borel_ideal_properties(case):
     ctx, gens = case
     I = borel_ideal(gens, ctx)
     # closure is strongly stable, minimal, idempotent, and contains its inputs
-    assert generator_move_violation(I) is None
+    assert gate_witness(I) is None
     all_gens = I.all_generators()
     for a in all_gens:
         for b in all_gens:
@@ -487,7 +500,7 @@ def redundant_generator_lists(draw):
 def test_gate_witness_is_first_outside_decrement(case):
     ctx, gens = case
     I = SpreadIdeal.from_generators(ctx, gens)
-    assert generator_move_violation(I) == first_outside_decrement(I)
+    assert gate_witness(I) == first_outside_decrement(I)
 
 
 def gate_links(trie, links, t, undo):
@@ -495,7 +508,7 @@ def gate_links(trie, links, t, undo):
     the keys each sets to ``undo``, one list per link; the first witness."""
     for _, gens in links:
         undo.append([])
-        witness = gate_degree(trie, gens, t, undo[-1])
+        witness = gate_step(trie, gens, t, undo[-1])
         if witness is not None:
             return witness
     return None
@@ -519,7 +532,7 @@ def test_gate_step_by_degree_and_with_undo(case, other, data):
     t, links, want = ctx.spread_t, sorted(I.gens.items()), first_outside_decrement(I)
     fresh: dict = {}
     for _, link in links:  # degree by degree, nothing recorded
-        witness = gate_degree(fresh, link, t)
+        witness = gate_step(fresh, link, t)
         if witness is not None:
             break
     assert witness == want
@@ -531,10 +544,29 @@ def test_gate_step_by_degree_and_with_undo(case, other, data):
     undo_links(undo, 0)
     assert trie == {}
     assert gate_links(trie, links, t, undo) == want
+    if want is not None:  # the last link raised: undo it alone
+        before: dict = {}
+        gate_links(before, links[:len(undo) - 1], t, [])
+        undo_links(undo, len(undo) - 1)
+        assert trie == before
+        assert gate_links(trie, links[len(undo):], t, undo) == want
     cut = data.draw(st.integers(0, len(undo) - 1))
     undo_links(undo, cut)
     assert gate_links(trie, links[cut:], t, undo) == want
     undo_links(undo, 0)
+    assert trie == {}
+
+
+def test_undo_after_a_raise_in_the_middle_of_a_degree():
+    # x2*x5 raises at its second index, after x1*x3, x1*x4 and x1*x5 went in
+    # and after it set its own first key, which the undo log holds too
+    trie: dict = {}
+    created: list = []
+    gens = ((1, 3), (1, 4), (1, 5), (2, 5))
+    assert gate_step(trie, gens, 2, created) == ((2, 5), 5, 4, (2, 4))
+    assert len(created) == 4 and created[-1][0] is trie and created[-1][1] == 2
+    for node, key in reversed(created):
+        del node[key]
     assert trie == {}
 
 

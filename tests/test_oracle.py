@@ -27,7 +27,7 @@ from tspread import (
 from tspread import cli, ideals, oracle
 from tspread.betti import BettiTable, corners_from_peaks, corners_via_characterization
 from tspread.cli import main
-from tspread.ideals import SpreadIdeal, generator_move_violation
+from tspread.ideals import SpreadIdeal
 from tspread.monomials import max_spread_degree
 
 import helpers
@@ -879,4 +879,4 @@ class TestCrossValidate:
 
 def test_stability_of_every_enumerated_ideal_generator_criterion():
     for ideal in enumerate_strongly_stable_ideals(Context(7, 3), 2):
-        assert generator_move_violation(ideal) is None
+        assert helpers.gate_witness(ideal) is None

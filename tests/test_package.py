@@ -25,7 +25,7 @@ API_ONLY = (
     # the corners from the generators, behind the stability gate; the package's
     # own readers hold stable ideals and fold corner_peak with corners_from_peaks
     "corners_via_characterization",
-    "is_strongly_stable",  # the one stability test in __all__; hides the witness tuple
+    "is_strongly_stable",  # the one stability test in __all__; a bool, no error to catch
 )
 
 

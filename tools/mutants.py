@@ -62,6 +62,7 @@ IDEALS = "src/tspread/ideals.py"
 BETTI = "src/tspread/betti.py"
 CONSTRUCTION = "src/tspread/construction.py"
 MONOMIALS = "src/tspread/monomials.py"
+CLI = "src/tspread/cli.py"
 
 MUTANTS = [
     # the step table of _pred_steps and the predecessor condition
@@ -106,6 +107,8 @@ MUTANTS = [
            equivalent=True, note="a tie rewrites the same value"),
     Mutant("mask-bit-rate", ORACLE,
            "if bits > 64 * budget.max_states:", "if bits > 65 * budget.max_states:"),
+    Mutant("mask-bits-no-shadows", ORACLE,
+           "bits = sum(a * (a + b) for", "bits = sum(a * a for"),
     # check (b)'s per-link slots
     Mutant("link-undo-skips-one", ORACLE,
            "for slot in reversed(slots[same:]):", "for slot in reversed(slots[same + 1:]):"),
@@ -115,11 +118,20 @@ MUTANTS = [
            "while same < common and", "while same < common - 1 and",
            equivalent=True,
            note="a link that is still the same is undone and read again alike"),
+    Mutant("link-peak-first-generator", ORACLE,
+           "corner_peak(link), created))", "corner_peak(link[:1]), created))"),
+    Mutant("link-row-drops-last", ORACLE,
+           "betti_row(t, l, link), corner_peak", "betti_row(t, l, link[:-1] or link), corner_peak"),
     # the stability gate and the generator tries
     Mutant("gate-gap", IDEALS,
            "if a - prev > t:", "if a - prev > t + 1:"),
     Mutant("gate-first-index", IDEALS,
            "prev = 1 - t", "prev = 2 - t"),
+    Mutant("gate-witness-swapped", IDEALS,
+           "witness=(u, a, a - 1, moved)", "witness=(u, a - 1, a, moved)"),
+    Mutant("stable-on-error", IDEALS,
+           "except NotStronglyStableError:\n        return False",
+           "except NotStronglyStableError:\n        return True"),
     Mutant("divisible-skips-an-index", IDEALS,
            "if child is not None:\n                    stack.append((child, p + 1))",
            "if child is not None:\n                    stack.append((child, p + 2))"),
@@ -151,6 +163,12 @@ MUTANTS = [
            "n - t * (deg - 1 - p)", "n - t * (deg - p)"),
     Mutant("j-max-unchecked", CONSTRUCTION,
            "    decompose(n, t)\n", ""),
+    Mutant("claim-skips-last-step", CONSTRUCTION,
+           "return _max_excluded(n, t, ell1 + len(omegas), earlier) is None",
+           "return True"),
+    # the CLI's writers
+    Mutant("diagram-zero-as-0", CLI,
+           'str(b) if b else "-"', 'str(b) if b else "0"'),
     # the monomial parser
     Mutant("parse-any-digits", MONOMIALS,
            "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
