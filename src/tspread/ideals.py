@@ -320,8 +320,11 @@ def gate_degree(trie: dict, gens, t: int, created: list | None = None) -> None:
     generator has no generator as a proper prefix.  With ``created`` given,
     the first key this call sets for each generator is appended to it as
     ``(node, key)``: the child where the generator's path leaves the trie,
-    or else its end mark.  Deleting them in reverse order restores the
-    trie, also after a raise.
+    or else its end mark.  So ``created`` gains exactly one record per
+    generator, in order, and only that generator and later ones set keys
+    under it: deleting the records of the last generators, last first,
+    removes just those generators.  Deleting them all in reverse order
+    restores the trie, also after a raise.
     """
     for u in gens:
         node = trie  # u's node at depth p, made as u is walked

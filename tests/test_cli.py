@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import tspread.cli
-from tspread import SearchBudget, SpreadIdeal, construct_extremal_ideal, graded_betti, oracle
+from tspread import (Context, NotStronglyStableError, SearchBudget, SpreadIdeal,
+                     construct_extremal_ideal, graded_betti, oracle)
 from tspread.cli import main
+from tspread.ideals import require_strongly_stable
 
 GOLDEN_DIAGRAM = "\n".join([
     "     0   1    2    3    4    5    6    7   8   9  10",
@@ -569,6 +571,25 @@ class TestValidate:
                                   "--l", "2:2"], capsys)
         assert (code, out) == (3, "")
         assert err == ("error: not strongly stable: x1*(x2*x4*x6/x2) = x1*x4*x6 "
+                       "lies outside the ideal\n")
+
+    def test_unstable_ideal_past_a_kept_generator_prefix_exits_3(self, capsys, monkeypatch):
+        # the second ideal keeps the first's x1*x3 and replaces x1*x4 by
+        # x1*x5: only x1*x5 is gated again, and a kept x1*x4 would pass it
+        first = (1, 3)
+
+        def stream(ctx, ell1, budget=None):
+            yield SpreadIdeal(ctx, {2: (first, (1, 4))})
+            yield SpreadIdeal(ctx, {2: (first, (1, 5))})
+
+        monkeypatch.setattr(oracle, "enumerate_strongly_stable_ideals", stream)
+        code, out, err = run_cli(["validate", "--n", "6:6", "--t", "2:2",
+                                  "--l", "2:2"], capsys)
+        assert (code, out) == (3, "")
+        with pytest.raises(NotStronglyStableError) as raised:
+            require_strongly_stable(SpreadIdeal(Context(6, 2), {2: (first, (1, 5))}))
+        assert err == f"error: {raised.value}\n"
+        assert err == ("error: not strongly stable: x4*(x1*x5/x5) = x1*x4 "
                        "lies outside the ideal\n")
 
     @pytest.mark.parametrize("value,want", [(3, 1), (2, 4), (1, 4)])

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import re
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tspread import (
     BudgetExceededError,
@@ -13,6 +16,7 @@ from tspread import (
     Context,
     InvalidMonomialError,
     InvariantViolationError,
+    NotStronglyStableError,
     SearchBudget,
     borel_ideal,
     brute_force_max_corners,
@@ -869,12 +873,114 @@ class TestCrossValidate:
             skipped += max(ideal.gens) - min(ideal.gens) + 1 > len(ideal.gens)
         assert skipped == gaps
 
+    def test_one_generator_gated_per_walked_ideal(self, monkeypatch):
+        # consecutive walked ideals differ by one generator, appended after
+        # a generator prefix that both share, and only it is gated again
+        gated = []
+        gate = oracle.gate_degree
+
+        def counting(trie, gens, t, created):
+            gated.append(len(gens))
+            gate(trie, gens, t, created)
+
+        monkeypatch.setattr(oracle, "gate_degree", counting)
+        report = cross_validate((9, 9), (2, 2), (2, 2))
+        assert sum(gated) == report.records[1]["cases"] == 3369
+        gated.clear()
+        walked = 0
+        for t in (2, 3):  # the cells of the validate benchmark
+            for n in range(4, 10):
+                report = cross_validate((n, n), (t, t), (2, 3))
+                walked += sum(r["cases"] for r in report.records
+                              if r["check"] == "corner-methods")
+        assert sum(gated) == walked == 5078
+
     def test_closure_check_refuses_oversized_masks(self, monkeypatch):
         # degree 1 of n = 9 needs 81 bits, over 64 * 1
         monkeypatch.setattr(oracle, "_Layer", _no_layer)
         report = cross_validate((9, 9), (2, 2), (2, 2), SearchBudget(max_states=1))
         closure = report.records[0]
         assert closure["partial"] and closure["cases"] == 0
+
+
+LINK_CTX = Context(8, 2)
+LINK_POOL = {d: spread_monomials(LINK_CTX, d) for d in range(1, 5)}
+
+
+def _link_step(links, op, i, j):
+    """``links`` after one step; the links it leaves alone stay the same
+    objects, and so do the monomials of every link."""
+    k = i % len(links)
+    d, gens = links[k]
+    if op == "append":  # one generator after the last of link k
+        after = LINK_POOL[d][LINK_POOL[d].index(gens[-1]) + 1:]
+        if not after:
+            return links
+        return links[:k] + [(d, gens + (after[j % len(after)],))] + links[k + 1:]
+    if op == "truncate":  # link k cut to a prefix, dropped if empty
+        if j % len(gens):
+            return links[:k] + [(d, gens[:j % len(gens)])] + links[k + 1:]
+        return links[:k] + links[k + 1:] if len(links) > 1 else links
+    top = links[-1][0]
+    if op == "push":  # a new top link of a higher degree
+        degrees, base = range(top + 1, 5), links
+    else:  # op == "degree": the top link swapped for one of another degree
+        below = links[-2][0] if len(links) > 1 else 0
+        degrees, base = [e for e in range(below + 1, 5) if e != top], links[:-1]
+    if not degrees:
+        return links
+    e = degrees[i % len(degrees)]
+    return base + [(e, (LINK_POOL[e][j % len(LINK_POOL[e])],))]
+
+
+def _fresh_gate(links, t):
+    """The trie of gating ``links`` afresh, or the gate's error message."""
+    trie: dict = {}
+    try:
+        for _, gens in links:
+            ideals.gate_degree(trie, gens, t)
+    except NotStronglyStableError as exc:
+        return str(exc)
+    return trie
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["append", "push", "degree", "truncate"]),
+                          st.integers(0, 7), st.integers(0, 7)), max_size=40))
+@example([("push", 0, 0), ("append", 1, 0), ("append", 0, 0)])
+def test_link_data_keeps_the_trie_of_each_ideal(steps):
+    # a step whose ideal is unstable is skipped, unless it is the last one:
+    # the stream holds stable ideals and at most one unstable ideal, its last.
+    # Small indices pick the slex-first monomials, which keep ideals stable;
+    # the example grows the lower link below a kept degree-3 link
+    links = [(2, (LINK_POOL[2][0],))]
+    stream, want = [SpreadIdeal(LINK_CTX, dict(links))], [_fresh_gate(links, 2)]
+    for at, step in enumerate(steps, 1):
+        moved = _link_step(links, *step)
+        fresh = _fresh_gate(moved, 2)
+        if isinstance(fresh, str) and at < len(steps):
+            continue
+        links = moved
+        stream.append(SpreadIdeal(LINK_CTX, dict(links)))
+        want.append(fresh)
+    tries = []
+    gate = oracle.gate_degree
+
+    def spy(trie, gens, t, created):
+        tries.append(trie)
+        gate(trie, gens, t, created)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "gate_degree", spy)
+        got = oracle._link_data(iter(stream), 2)
+        for ideal, fresh in zip(stream, want):
+            if isinstance(fresh, str):
+                with pytest.raises(NotStronglyStableError, match=re.escape(fresh)):
+                    next(got)
+                break
+            assert next(got)[0] is ideal
+            assert all(trie is tries[0] for trie in tries)
+            assert tries[0] == fresh
 
 
 def test_stability_of_every_enumerated_ideal_generator_criterion():

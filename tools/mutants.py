@@ -7,10 +7,12 @@ Run from the root of a checkout:
 Each mutant is one textual change, (file, old text, new text), to the
 library.  For each, the checkout is copied to a temporary directory, the
 mutant is applied there, and the Tier-1 command runs on the copy with
-``-x`` under ``TIMEOUT`` seconds.  Before the mutants, the unmutated copy
-runs the same way, as the ``baseline`` line: if it does not pass, the
-script prints that line, runs no mutant and exits with status 1, since
-every kill would be void.
+``-x`` under ``TIMEOUT`` seconds, less ``tests/test_mutants.py``, which
+checks that every mutant's old text is in the library and so fails on any
+mutated copy.  Before the mutants, the unmutated copy runs the same way,
+as the ``baseline`` line: if it does not pass, the script prints that
+line, runs no mutant and exits with status 1, since every kill would be
+void.
 Each run's address space is capped at ``MEMORY`` bytes, so that a mutant
 which makes a search grow without bound fails with MemoryError instead of
 filling the machine; Tier-1 itself passes under half the cap.
@@ -37,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"]
+         "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
 MEMORY = 2 << 30
 TIMEOUT = 300  # seconds per Tier-1 run
@@ -55,6 +57,10 @@ class Mutant:
     new: str
     equivalent: bool = False
     note: str = ""
+
+    def occurrences(self) -> int:
+        """How often the old text occurs in this checkout's file."""
+        return (ROOT / self.path).read_text().count(self.old)
 
 
 ORACLE = "src/tspread/oracle.py"
@@ -109,17 +115,25 @@ MUTANTS = [
            "if bits > 64 * budget.max_states:", "if bits > 65 * budget.max_states:"),
     Mutant("mask-bits-no-shadows", ORACLE,
            "bits = sum(a * (a + b) for", "bits = sum(a * a for"),
-    # check (b)'s per-link slots
+    # check (b)'s per-link slots and the undo log of its one trie
     Mutant("link-undo-skips-one", ORACLE,
-           "for slot in reversed(slots[same:]):", "for slot in reversed(slots[same + 1:]):"),
+           "if same < len(slots) else len(log)", "if same < len(slots) - 1 else len(log)"),
+    Mutant("link-undo-keeps-one", ORACLE,
+           "reversed(log[cut:])", "reversed(log[cut + 1:])"),
+    Mutant("link-keep-not-reset", ORACLE,
+           "corner_peak(link), start))\n            keep = 0\n",
+           "corner_peak(link), start))\n"),
+    Mutant("link-start-past-kept", ORACLE,
+           "start = len(log) - keep", "start = len(log)"),
     Mutant("link-scan-starts-past-first", ORACLE,
            "same, common = 0, min(", "same, common = 1, min("),
     Mutant("link-scan-stops-short", ORACLE,
            "while same < common and", "while same < common - 1 and",
            equivalent=True,
-           note="a link that is still the same is undone and read again alike"),
+           note="a link that is still the same keeps all its generators gated, "
+                "and its row and peak are read again alike"),
     Mutant("link-peak-first-generator", ORACLE,
-           "corner_peak(link), created))", "corner_peak(link[:1]), created))"),
+           "corner_peak(link), start))", "corner_peak(link[:1]), start))"),
     Mutant("link-row-drops-last", ORACLE,
            "betti_row(t, l, link), corner_peak", "betti_row(t, l, link[:-1] or link), corner_peak"),
     # the stability gate and the generator tries
@@ -169,6 +183,10 @@ MUTANTS = [
     # the CLI's writers
     Mutant("diagram-zero-as-0", CLI,
            'str(b) if b else "-"', 'str(b) if b else "0"'),
+    Mutant("markdown-no-value-as-dash", CLI,
+           '"?" if c.partial else "-"', '"-"'),
+    Mutant("csv-partial-unmarked", CLI,
+           "' (partial)' if c.partial else ''", "''"),
     # the monomial parser
     Mutant("parse-any-digits", MONOMIALS,
            "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
@@ -212,7 +230,7 @@ def run(mutant: Mutant | None) -> dict:
 
 def main() -> int:
     for m in MUTANTS:  # a mutant whose text moved would silently test nothing
-        count = (ROOT / m.path).read_text().count(m.old)
+        count = m.occurrences()
         if count != 1:
             print(f"mutants: {m.id}: old text occurs {count} times in {m.path}",
                   file=sys.stderr)
